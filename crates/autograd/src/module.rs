@@ -157,6 +157,14 @@ pub trait Module {
     }
 }
 
+/// A borrowed module exposes the same parameters, so entry points that take
+/// a model by value can train one the caller keeps.
+impl<M: Module + ?Sized> Module for &M {
+    fn params(&self) -> Vec<Param> {
+        (**self).params()
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -1,9 +1,11 @@
 //! Million-user load harness for the production serving plane.
 //!
-//! Where `serve_bench` pins the partition-parallel *scaling* claim on a
-//! small bursty burst, this harness drives the full serving plane the way
-//! a deployment would see it:
+//! This harness drives the full serving plane the way a deployment would
+//! see it:
 //!
+//! - **The deployment path**: the served model is a snapshot saved to
+//!   disk and loaded back (the versioned `st_serve` format), never the
+//!   live in-memory capture.
 //! - **Open-loop arrivals**: a Poisson process (inverse-CDF exponential
 //!   interarrivals) whose rate follows a **diurnal** sinusoid, so the
 //!   stream has a genuine rush hour that overruns capacity and a trough
@@ -240,7 +242,7 @@ fn main() {
     };
 
     // --- snapshot a seeded model over the synthetic traffic corridor ---
-    // (Training is serve_bench's concern; modeled load is weight-blind.)
+    // (Modeled load is weight-blind, so the model stays untrained.)
     let net = st_graph::generators::highway_corridor(load.nodes, 2, st_bench::SEED);
     let sig = synthetic::traffic::generate(&net, load.entries, 288, st_bench::SEED);
     let ds = IndexDataset::from_signal(&sig, load.horizon, SplitRatios::default(), Some(288));
@@ -255,12 +257,22 @@ fn main() {
         layers: 1,
     };
     let model = PgtDcrnn::new(mc.clone(), &supports, st_bench::SEED);
-    let snapshot = ModelSnapshot::capture(
+    let snap_path = std::path::Path::new("target").join("bench_serve.snap");
+    let _ = std::fs::create_dir_all("target");
+    ModelSnapshot::capture(
         mc,
         ds.scaler().clone(),
         Some(288),
         &st_autograd::Module::params(&model),
         0,
+    )
+    .save(&snap_path)
+    .expect("write snapshot");
+    let snapshot = ModelSnapshot::load(&snap_path).expect("reload snapshot");
+    println!(
+        "snapshot: {} params, {} bytes on disk",
+        snapshot.params.len(),
+        std::fs::metadata(&snap_path).map_or(0, |m| m.len())
     );
 
     // Sustained-load runs keep the forecast cache OFF: with it on, each

@@ -3,7 +3,9 @@
 //! applicability"). Measured at scaled size; the memory column is the
 //! paper-scale analytic footprint (the paper reports a 49.20% reduction).
 
-use pgt_index::trainer::{BatchSource, MaterializedDataset, Trainer, TrainerConfig};
+use pgt_index::dist_index::DistConfig;
+use pgt_index::engine::{run_single, EngineOptions};
+use pgt_index::trainer::{BatchSource, MaterializedDataset, SourcePlane};
 use pgt_index::IndexDataset;
 use st_autograd::loss::mse_metric;
 use st_autograd::Tape;
@@ -22,21 +24,16 @@ struct Outcome {
     test_mse: f32,
 }
 
-fn run(source: &dyn BatchSource, model: &A3tGcn, epochs: usize, batch: usize) -> Outcome {
-    let trainer = Trainer::new(TrainerConfig {
-        epochs,
-        batch_size: batch,
-        lr: 0.01,
-        seed: st_bench::SEED,
-        validate: false,
-        grad_clip: Some(5.0),
-    });
-    let h = trainer.train(model, source);
+fn run(source: &dyn BatchSource, model: &A3tGcn, cfg: &DistConfig) -> Outcome {
+    let (report, _) = run_single(cfg, &EngineOptions::default(), |_| {
+        (SourcePlane::new(source, cfg), model)
+    })
+    .expect("engine run without resume cannot fail");
     // Test MSE in standardized units (as A3T-GCN's example reports).
     let ids: Vec<usize> = source.splits().test.clone().collect();
     let mut mse_sum = 0.0f64;
     let mut n = 0usize;
-    for chunk in ids.chunks(batch) {
+    for chunk in ids.chunks(cfg.batch_per_worker) {
         let (x, y) = source.get_batch(chunk);
         let target = y.narrow(3, 0, 1).unwrap().contiguous();
         let tape = Tape::new();
@@ -45,7 +42,7 @@ fn run(source: &dyn BatchSource, model: &A3tGcn, epochs: usize, batch: usize) ->
         n += target.numel();
     }
     Outcome {
-        runtime: h.wall_secs,
+        runtime: report.wall_secs,
         test_mse: (mse_sum / n.max(1) as f64) as f32,
     }
 }
@@ -69,20 +66,21 @@ fn main() {
             st_bench::SEED,
         )
     };
-    let epochs = measure_epochs().min(8);
-    let batch = 16;
+    let mut cfg = DistConfig::new(1, measure_epochs().min(8), spec.horizon);
+    cfg.batch_per_worker = 16;
+    cfg.seed = st_bench::SEED;
 
     let aug = sig.with_time_feature(spec.period);
     let base_src =
         MaterializedDataset::new(materialized_xy(&aug, spec.horizon, SplitRatios::default()));
-    let base = run(&base_src, &mk_model(), epochs, batch);
+    let base = run(&base_src, &mk_model(), &cfg);
     let index_src = IndexDataset::from_signal(
         &sig,
         spec.horizon,
         SplitRatios::default(),
         Some(spec.period),
     );
-    let index = run(&index_src, &mk_model(), epochs, batch);
+    let index = run(&index_src, &mk_model(), &cfg);
 
     // Paper-scale memory: full METR-LA footprints.
     let full = DatasetSpec::get(DatasetKind::MetrLa);

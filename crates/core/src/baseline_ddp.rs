@@ -13,7 +13,6 @@
 //! remote-traffic ledger.
 
 use crate::engine::{self, DistDataPlane, EngineOptions, Fetch};
-use crate::trainer::BatchSource;
 use st_data::preprocess::materialized_xy;
 use st_data::scaler::StandardScaler;
 use st_data::signal::StaticGraphTemporalSignal;
@@ -73,32 +72,6 @@ impl DataSvcPlane {
         let (x, sx) = self.x.fetch_rows_quoted(self.rank, indices, &self.cost);
         let (y, sy) = self.y.fetch_rows_quoted(self.rank, indices, &self.cost);
         (x, y, sx + sy)
-    }
-}
-
-/// [`BatchSource`] lets model factories inspect dims/splits and drive
-/// ad-hoc evaluation. **Timing caveat:** `get_batch` records remote bytes
-/// on the shared ledger but discards the quoted transfer seconds — the
-/// plane no longer holds a clock; inside the engine, fetch time is
-/// charged (or prefetch-hidden) by the epoch loop. Callers that need
-/// simulated fetch *time* outside the engine must use
-/// [`DataSvcPlane::fetch`] and charge the returned seconds themselves.
-impl BatchSource for DataSvcPlane {
-    fn num_snapshots(&self) -> usize {
-        self.x.rows()
-    }
-
-    fn splits(&self) -> &SplitIndices {
-        &self.splits
-    }
-
-    fn get_batch(&self, indices: &[usize]) -> (Tensor, Tensor) {
-        let (x, y, _) = self.fetch(indices);
-        (x, y)
-    }
-
-    fn scaler(&self) -> &StandardScaler {
-        &self.scaler
     }
 }
 

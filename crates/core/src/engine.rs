@@ -14,9 +14,11 @@
 //!   with bytes on the plane's ledger), and a traffic ledger.
 //! - [`StepLoop`] — the shared step and validation primitives
 //!   (forward/backward/clip/step, original-unit MAE sums via the fused
-//!   [`st_tensor::ops::sum_abs`]), used by the single-worker
-//!   [`Trainer`](crate::trainer::Trainer) and by [`run`] alike.
-//! - [`run`] / [`run_single`] — the epoch loop: one rank per worker,
+//!   [`st_tensor::ops::sum_abs`]), driven by the epoch loop and by
+//!   [`crate::trainer::evaluate`].
+//! - [`run`] / [`run_single`] — the epoch loop that trains every model in
+//!   the workspace, single-worker runs included (as a world of one over
+//!   [`crate::trainer::SourcePlane`]): one rank per worker,
 //!   bit-deterministic rank-order metric reductions, simulated-clock
 //!   charging, optional checkpoint capture/resume, and a **pipelined step
 //!   path**: every concurrent comm stream — the one-time setup read, the
@@ -45,6 +47,7 @@ use st_autograd::module::Param;
 use st_autograd::optim::{clip_grad_norm, Adam, Optimizer};
 use st_autograd::schedule::{ConstantLr, LrSchedule};
 use st_autograd::{Checkpoint, Tape, Var};
+use st_data::loader::Batcher;
 use st_device::{CostModel, OverlapLedger, StreamId};
 use st_dist::ddp::{self, DdpContext, GradBuckets};
 use st_dist::launch::{self, run_workers, WorkerCtx};
@@ -195,6 +198,23 @@ pub fn striped_plan(
     )
 }
 
+/// The shuffled train plan for `epoch` of a plane that trains its own
+/// model on a whole split `range`: [`Batcher::shuffled`] under
+/// `(seed, epoch)`, in batches. Walked by the single-worker
+/// [`crate::trainer::SourcePlane`] and by each rank of the partitioned
+/// plane.
+pub fn batcher_plan(
+    range: std::ops::Range<usize>,
+    seed: u64,
+    epoch: u64,
+    batch: usize,
+) -> Vec<Vec<usize>> {
+    Batcher::shuffled(range.collect(), batch, seed, epoch)
+        .batches()
+        .map(|b| b.to_vec())
+        .collect()
+}
+
 /// The collective round count for planes whose train split stripes into
 /// (possibly ragged) contiguous partitions: every rank derives the same
 /// maximum analytically, so per-step all-reduces never mismatch.
@@ -207,8 +227,8 @@ pub fn striped_rounds(train_len: usize, world: usize, batch: usize) -> usize {
 
 /// The shared training-step primitives: target extraction, one
 /// forward/backward, clip + optimizer step, and the validation reduction.
-/// Both the single-worker [`Trainer`](crate::trainer::Trainer) and the
-/// distributed [`run`] are thin drivers around these.
+/// The epoch loop behind [`run`] and [`run_single`] drives them, and
+/// [`crate::trainer::evaluate`] reuses the validation reduction.
 pub struct StepLoop {
     /// Optional global-norm gradient clip applied before each step.
     pub grad_clip: Option<f32>,
@@ -417,8 +437,11 @@ where
 
 /// Run the engine inline as a one-rank world, returning the trained model
 /// alongside the report (models are not `Send`, so the threaded [`run`]
-/// cannot hand them back). Used by the dynamic-graph runner, which
-/// returns its model to the caller.
+/// cannot hand them back). Every single-worker run goes through here:
+/// over any [`crate::trainer::BatchSource`] via
+/// [`crate::trainer::SourcePlane`], and over dynamic graphs via
+/// [`crate::dynamic_index::DynamicPlane`]. A borrowed `&model` is a model
+/// too, so a caller can train one it keeps.
 ///
 /// ```
 /// use pgt_index::dist_index::DistConfig;

@@ -10,14 +10,15 @@
 //!   reconstructed at runtime as zero-copy views (Fig. 4).
 //! - [`gpu_index`] — GPU-index-batching: a single consolidated host→device
 //!   transfer up front, then a fully device-resident workflow (§4.1).
-//! - [`engine`] — the **single** distributed epoch loop behind every
-//!   training mode: a [`engine::DistDataPlane`] supplies the epoch plan,
-//!   quoted batch fetches, and traffic ledger, while the engine owns
-//!   forward/backward, DDP averaging, prefetch overlap, rank-order metric
-//!   reductions, and checkpoint capture/resume.
-//! - [`trainer`] — the single-worker training loop with epoch metrics,
-//!   wall/simulated timing and memory-timeline capture; its steps are the
-//!   same [`engine::StepLoop`] primitives the engine uses.
+//! - [`engine`] — the **single** epoch loop behind every training mode,
+//!   single-worker included: a [`engine::DistDataPlane`] supplies the
+//!   epoch plan, quoted batch fetches, and traffic ledger, while the
+//!   engine owns forward/backward, DDP averaging, prefetch overlap,
+//!   rank-order metric reductions, and checkpoint capture/resume.
+//! - [`trainer`] — single-worker training: the batching-agnostic
+//!   [`trainer::BatchSource`] (standard or index), the world-of-one
+//!   [`trainer::SourcePlane`] the engine trains over, and
+//!   [`trainer::evaluate`] for original-unit MAE.
 //! - [`dist_index`] — distributed-index-batching: full per-worker copies,
 //!   communication-free global shuffling, DDP gradient averaging (§4.2)
 //!   — the engine's [`dist_index::LocalCopyPlane`].
@@ -54,4 +55,3 @@ pub use engine::{DistDataPlane, EngineError, EngineOptions, EngineReport, StepLo
 pub use index_batching::IndexDataset;
 pub use memory_model::{index_batching_bytes, standard_preprocess_bytes};
 pub use projection::{ProjectionParams, ScalingPoint};
-pub use trainer::{EpochStats, Trainer, TrainerConfig, TrainingHistory};

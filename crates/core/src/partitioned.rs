@@ -27,7 +27,6 @@
 
 use crate::engine::{self, DistDataPlane, EngineOptions, Fetch};
 use crate::index_batching::IndexDataset;
-use st_data::loader::Batcher;
 use st_data::signal::StaticGraphTemporalSignal;
 use st_data::splits::SplitRatios;
 use st_data::storage::SignalStorage;
@@ -251,9 +250,7 @@ impl DistDataPlane for PartitionedPlane {
     }
 
     fn plan_epoch(&self, epoch: u64) -> Vec<Vec<usize>> {
-        let ids: Vec<usize> = self.ds.splits().train.clone().collect();
-        let batcher = Batcher::shuffled(ids, self.batch, self.seed, epoch);
-        batcher.batches().map(|b| b.to_vec()).collect()
+        engine::batcher_plan(self.ds.splits().train.clone(), self.seed, epoch, self.batch)
     }
 
     fn plan_val(&self) -> Vec<Vec<usize>> {
@@ -479,7 +476,8 @@ fn build_model(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::trainer::{Trainer, TrainerConfig};
+    use crate::dist_index::DistConfig;
+    use crate::trainer::SourcePlane;
     use st_data::datasets::{DatasetKind, DatasetSpec};
     use st_data::synthetic;
 
@@ -497,8 +495,8 @@ mod tests {
     }
 
     /// The pre-engine reference: validation MAE restricted to the first
-    /// `owned` nodes, original units, computed directly with a Trainer-
-    /// trained model.
+    /// `owned` nodes, original units, computed directly on a model trained
+    /// whole-graph as a world of one.
     fn owned_val_mae(model: &PgtDcrnn, ds: &IndexDataset, owned: usize, batch: usize) -> f32 {
         let ids: Vec<usize> = ds.splits().val.clone().collect();
         if ids.is_empty() {
@@ -583,15 +581,14 @@ mod tests {
         // Whole-graph reference with identical settings and seed.
         let ds = IndexDataset::from_signal(&sig, cfg.horizon, SplitRatios::default(), None);
         let model = build_model(&ds, &sig, &cfg);
-        let trainer = Trainer::new(TrainerConfig {
-            epochs: cfg.epochs,
-            batch_size: cfg.batch_size,
-            lr: cfg.lr,
-            seed: cfg.seed,
-            validate: false,
-            grad_clip: Some(5.0),
-        });
-        trainer.train(&model, &ds);
+        let mut single = DistConfig::new(1, cfg.epochs, cfg.horizon);
+        single.batch_per_worker = cfg.batch_size;
+        single.lr = cfg.lr;
+        single.seed = cfg.seed;
+        engine::run_single(&single, &EngineOptions::default(), |_| {
+            (SourcePlane::new(&ds, &single), &model)
+        })
+        .expect("no resume");
         let whole = owned_val_mae(&model, &ds, sig.num_nodes(), cfg.batch_size);
         let diff = (part.combined_val_mae - whole).abs();
         assert!(

@@ -1,7 +1,9 @@
 //! End-to-end convenience entry points used by the examples and harness.
 
+use crate::dist_index::{DistConfig, DistRunResult};
+use crate::engine::{self, EngineOptions};
 use crate::index_batching::IndexDataset;
-use crate::trainer::{BatchSource, MaterializedDataset, Trainer, TrainerConfig, TrainingHistory};
+use crate::trainer::{self, BatchSource, MaterializedDataset, SourcePlane};
 use st_data::datasets::{DatasetKind, DatasetSpec, Domain};
 use st_data::signal::StaticGraphTemporalSignal;
 use st_data::splits::SplitRatios;
@@ -18,7 +20,7 @@ pub enum Batching {
     Index,
 }
 
-/// A fully-prepared single-GPU experiment: model + data + trainer.
+/// A fully-prepared single-GPU experiment: model + data.
 pub struct SingleGpuRun {
     /// The generated signal.
     pub signal: StaticGraphTemporalSignal,
@@ -94,26 +96,27 @@ pub fn prepare_single_gpu(
 }
 
 impl SingleGpuRun {
-    /// Train with the given epoch/batch settings; returns the history.
-    pub fn train(&self, epochs: usize, batch_size: usize, lr: f32) -> TrainingHistory {
-        let trainer = Trainer::new(TrainerConfig {
-            epochs,
-            batch_size,
-            lr,
-            seed: 42,
-            validate: true,
-            grad_clip: Some(5.0),
-        });
-        trainer.train(&self.model, self.source.as_ref())
+    /// Train the model in place with the given epoch/batch settings, as a
+    /// world of one on the shared engine (shuffle seed 42, clip 5.0).
+    pub fn train(&self, epochs: usize, batch_size: usize, lr: f32) -> DistRunResult {
+        let mut cfg = DistConfig::new(1, epochs, self.spec.horizon);
+        cfg.batch_per_worker = batch_size;
+        cfg.lr = lr;
+        engine::run_single(&cfg, &EngineOptions::default(), |_| {
+            (SourcePlane::new(self.source.as_ref(), &cfg), &self.model)
+        })
+        .expect("engine run without resume cannot fail")
+        .0
+        .into_dist_result()
     }
 
-    /// Evaluate test-set MAE (original units).
+    /// Evaluate test-set MAE (original units), 32 snapshots per batch.
     pub fn test_mae(&self) -> f32 {
-        let trainer = Trainer::new(TrainerConfig::default());
-        trainer.evaluate(
+        trainer::evaluate(
             &self.model,
             self.source.as_ref(),
             self.source.splits().test.clone(),
+            32,
         )
     }
 }
@@ -151,7 +154,7 @@ mod tests {
             let run = prepare_single_gpu(DatasetKind::ChickenpoxHungary, 0.3, batching, 8, 7);
             let h = run.train(2, 8, 0.01);
             assert_eq!(h.epochs.len(), 2, "{batching:?}");
-            assert!(h.final_train_loss().is_finite());
+            assert!(h.epochs[1].train_loss.is_finite());
             assert!(run.test_mae().is_finite());
         }
     }

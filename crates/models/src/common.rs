@@ -91,6 +91,30 @@ pub trait Seq2Seq: Module {
     fn flops_per_forward(&self, batch: usize) -> f64;
 }
 
+/// A borrowed forecaster forwards every call to the model it borrows —
+/// `engine::run_single` can then train a model its caller keeps.
+impl<M: Seq2Seq + ?Sized> Seq2Seq for &M {
+    fn forward(&self, tape: &Tape, x: &Tensor) -> Var {
+        (**self).forward(tape, x)
+    }
+
+    fn forward_dynamic(&self, tape: &Tape, x: &Tensor, per_step: &[&[crate::Support]]) -> Var {
+        (**self).forward_dynamic(tape, x, per_step)
+    }
+
+    fn forward_inference(&self, x: &Tensor) -> Tensor {
+        (**self).forward_inference(x)
+    }
+
+    fn name(&self) -> &'static str {
+        (**self).name()
+    }
+
+    fn flops_per_forward(&self, batch: usize) -> f64 {
+        (**self).flops_per_forward(batch)
+    }
+}
+
 /// Validate the standard input shape, panicking with a clear message.
 pub fn check_input(x: &Tensor, cfg: &ModelConfig, model: &str) {
     assert_eq!(x.rank(), 4, "{model}: input must be [B, T, N, F]");

@@ -140,16 +140,19 @@ pub struct QueryResult {
 
 /// One rejected query: the typed refusal the serving plane hands back in
 /// place of a result — either admission control shed it
-/// ([`ShedReason::QueueFull`] / [`ShedReason::DeadlineUnmeetable`]) or
-/// its window is not servable against the live ring
-/// ([`ShedReason::WindowEvicted`] / [`ShedReason::NotYetServable`]).
+/// ([`ShedReason::QueueFull`] / [`ShedReason::DeadlineUnmeetable`]), its
+/// window is not servable against the live ring
+/// ([`ShedReason::WindowEvicted`] / [`ShedReason::NotYetServable`]), or
+/// its node is not in the graph ([`ShedReason::UnknownNode`]).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Rejection {
     /// The caller-side id from the [`Query`].
     pub id: usize,
     /// The queried node.
     pub node: usize,
-    /// The shard that owns (and refused) the query.
+    /// The shard that owns (and refused) the query. For
+    /// [`ShedReason::UnknownNode`] no shard owns it, and this holds the
+    /// deployment's shard count — one past the last shard index.
     pub shard: usize,
     /// The requested window end.
     pub window_end: usize,
@@ -480,39 +483,29 @@ impl BatchedServer {
     /// SLO: route each to its owning shard, run SLO admission control
     /// over each shard's micro-batch queue, and replay the admitted
     /// schedule as batched tape-free forwards concurrently across
-    /// shards. Unservable windows (evicted / not yet ingested) are
-    /// rejected before routing; every query lands in exactly one of
-    /// [`ServeReport::results`] / [`ServeReport::rejections`].
+    /// shards. Unknown nodes and unservable windows (evicted / not yet
+    /// ingested) are rejected before routing; every query lands in
+    /// exactly one of [`ServeReport::results`] / [`ServeReport::rejections`].
     pub fn serve_slo(&self, queries: &[Query], slo: &SloConfig) -> ServeReport {
         let horizon = self.snapshot.config.horizon;
         let nodes = self.snapshot.config.num_nodes;
         let features = self.snapshot.config.input_dim;
-        for q in queries {
-            assert!(
-                q.node < nodes,
-                "query {} names node {} of {nodes}",
-                q.id,
-                q.node
-            );
-        }
 
-        // Pre-routing servability: a window the ring cannot produce is a
-        // typed rejection, not a panic in a worker thread.
+        // Pre-routing checks: a node outside the graph or a window the
+        // ring cannot produce is a typed rejection, not a panic.
         let mut pre_rejected: Vec<(usize, Rejection)> = Vec::new();
         // Static routing: shard r sees only its owned nodes' servable
         // requests, in arrival order (`PendingRequest::id` is the index
         // into `queries`).
         let mut routed = vec![Vec::new(); self.cfg.shards];
         for (idx, q) in queries.iter().enumerate() {
-            let shard = self.owner_of(q.node);
-            match self.window.window_status(q.window_end, horizon) {
-                Ok(()) => routed[shard].push(PendingRequest {
-                    id: idx,
-                    arrival_secs: q.arrival_secs,
-                    window_end: q.window_end,
-                }),
-                Err(e) => {
-                    let reason = match e {
+            // An unknown node has no owner: its rejection names the shard
+            // count, one past the last shard.
+            let (shard, status) = if q.node < nodes {
+                let status = self.window.window_status(q.window_end, horizon);
+                (
+                    self.owner_of(q.node),
+                    status.map_err(|e| match e {
                         ServeError::WindowEvicted {
                             window_end,
                             oldest_retained,
@@ -529,18 +522,31 @@ impl BatchedServer {
                             admitted,
                         },
                         other => panic!("unservable query {}: {other}", q.id),
-                    };
-                    pre_rejected.push((
-                        idx,
-                        Rejection {
-                            id: q.id,
-                            node: q.node,
-                            shard,
-                            window_end: q.window_end,
-                            reason,
-                        },
-                    ));
-                }
+                    }),
+                )
+            } else {
+                let reason = ShedReason::UnknownNode {
+                    node: q.node,
+                    nodes,
+                };
+                (self.cfg.shards, Err(reason))
+            };
+            match status {
+                Ok(()) => routed[shard].push(PendingRequest {
+                    id: idx,
+                    arrival_secs: q.arrival_secs,
+                    window_end: q.window_end,
+                }),
+                Err(reason) => pre_rejected.push((
+                    idx,
+                    Rejection {
+                        id: q.id,
+                        node: q.node,
+                        shard,
+                        window_end: q.window_end,
+                        reason,
+                    },
+                )),
             }
         }
 

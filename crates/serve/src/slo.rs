@@ -99,6 +99,14 @@ pub enum ShedReason {
         /// Rows admitted so far.
         admitted: usize,
     },
+    /// The query names a node outside the served graph (server-side
+    /// pre-routing check): no shard owns it.
+    UnknownNode {
+        /// The requested node.
+        node: usize,
+        /// Nodes the deployment serves (valid ids are `0..nodes`).
+        nodes: usize,
+    },
 }
 
 /// One shed request: the typed rejection admission control hands back in

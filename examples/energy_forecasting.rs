@@ -7,8 +7,10 @@
 //! cargo run --release --example energy_forecasting
 //! ```
 
+use pgt_i::core::dist_index::DistConfig;
+use pgt_i::core::engine::{run_single, EngineOptions};
 use pgt_i::core::gpu_index::{GpuIndexDataset, Residency};
-use pgt_i::core::trainer::{Trainer, TrainerConfig};
+use pgt_i::core::trainer::SourcePlane;
 use pgt_i::core::IndexDataset;
 use pgt_i::data::datasets::{DatasetKind, DatasetSpec};
 use pgt_i::data::splits::SplitRatios;
@@ -60,17 +62,15 @@ fn main() {
         &supports,
         11,
     );
-    let trainer = Trainer::new(TrainerConfig {
-        epochs: 8,
-        batch_size: 16,
-        lr: 0.01,
-        seed: 11,
-        validate: true,
-        grad_clip: Some(5.0),
-    });
-    let history = trainer.train(&model, &placed);
+    let mut cfg = DistConfig::new(1, 8, spec.horizon);
+    cfg.batch_per_worker = 16;
+    cfg.seed = 11;
+    let (report, _) = run_single(&cfg, &EngineOptions::default(), |_| {
+        (SourcePlane::new(&placed, &cfg), model)
+    })
+    .expect("no resume bytes to reject");
     println!("\nepoch  train-loss  val-MAE (normalized power)");
-    for e in &history.epochs {
+    for e in &report.epochs {
         println!("{:>5}  {:>10.4}  {:>8.4}", e.epoch, e.train_loss, e.val_mae);
     }
     println!(

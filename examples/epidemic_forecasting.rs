@@ -10,7 +10,9 @@
 //! index-batching API as the DCRNN family — the "any sequence-to-sequence
 //! model" claim.
 
-use pgt_i::core::trainer::{Trainer, TrainerConfig};
+use pgt_i::core::dist_index::DistConfig;
+use pgt_i::core::engine::{run_single, EngineOptions};
+use pgt_i::core::trainer::{evaluate, SourcePlane};
 use pgt_i::core::IndexDataset;
 use pgt_i::data::datasets::{DatasetKind, DatasetSpec};
 use pgt_i::data::splits::SplitRatios;
@@ -42,20 +44,19 @@ fn main() {
         7,
     );
 
-    let trainer = Trainer::new(TrainerConfig {
-        epochs: 15,
-        batch_size: spec.batch_size,
-        lr: 0.01,
-        seed: 7,
-        validate: true,
-        grad_clip: Some(5.0),
-    });
-    let history = trainer.train(&model, &ds);
+    let mut cfg = DistConfig::new(1, 15, spec.horizon);
+    cfg.batch_per_worker = spec.batch_size;
+    cfg.seed = 7;
+    let (report, model) = run_single(&cfg, &EngineOptions::default(), |_| {
+        (SourcePlane::new(&ds, &cfg), model)
+    })
+    .expect("no resume bytes to reject");
+    let history = report.into_dist_result();
     println!("epoch  train-loss  val-MAE (weekly cases)");
     for e in &history.epochs {
         println!("{:>5}  {:>10.4}  {:>8.3}", e.epoch, e.train_loss, e.val_mae);
     }
-    let test = trainer.evaluate(&model, &ds, ds.splits().test.clone());
+    let test = evaluate(&model, &ds, ds.splits().test.clone(), spec.batch_size);
     println!(
         "\nbest val MAE {:.3} cases/week | held-out test MAE {:.3} cases/week",
         history.best_val_mae(),

@@ -1,22 +1,29 @@
 //! Engine-equivalence goldens.
 //!
 //! Per-epoch losses captured from the **pre-refactor inline epoch loops**
-//! (the six hand-copied loops that predated `pgt_index::engine`), at fixed
-//! seeds, after the ragged-`global_stripe` fix. The ported `DistDataPlane`
-//! implementations must reproduce them **bit-for-bit**: the engine
-//! refactor moved code, not numerics.
+//! (the six hand-copied loops that predated `pgt_index::engine`, and the
+//! single-worker loop retired later), at fixed seeds, after the
+//! ragged-`global_stripe` fix. The ported `DistDataPlane` implementations
+//! must reproduce them **bit-for-bit**: the engine refactor moved code,
+//! not numerics.
 //!
 //! If an intentional numerics change ever lands (new shuffle, new loss),
 //! re-capture these by printing `train_loss`/`val_mae` from the runners at
 //! the configs below.
 
+use pgt_i::autograd::schedule::MultiStepLr;
+use pgt_i::autograd::Module;
 use pgt_i::core::baseline_ddp::run_baseline_ddp;
 use pgt_i::core::dist_index::{run_distributed_index, DistConfig};
 use pgt_i::core::dynamic_index::{train_dynamic, DynamicTrainConfig};
+use pgt_i::core::engine::{self, EngineOptions};
 use pgt_i::core::gen_dist_index::run_generalized;
 use pgt_i::core::partitioned::{run_partitioned, PartitionStrategy, PartitionedConfig};
+use pgt_i::core::trainer::SourcePlane;
 use pgt_i::core::workflow::pgt_dcrnn_factory;
+use pgt_i::core::IndexDataset;
 use pgt_i::data::datasets::{DatasetKind, DatasetSpec};
+use pgt_i::data::splits::SplitRatios;
 use pgt_i::data::synthetic;
 use pgt_i::graph::diffusion_supports;
 use pgt_i::models::{ModelConfig, PgtDcrnn, Support};
@@ -161,7 +168,7 @@ fn dynamic_plane_reproduces_the_inline_dynamic_loop() {
 #[test]
 fn partitioned_plane_reproduces_the_sequential_trainer_loop() {
     // The pre-engine runner trained partitions sequentially through the
-    // single-worker Trainer; the engine trains them concurrently as
+    // single-worker loop; the engine trains them concurrently as
     // independent ranks. Same shuffles, same seeds ⇒ identical MAE.
     let net = pgt_i::graph::generators::highway_corridor(24, 1, 11);
     let sig = synthetic::traffic::generate(&net, 220, 288, 11);
@@ -175,4 +182,72 @@ fn partitioned_plane_reproduces_the_sequential_trainer_loop() {
     assert_eq!(r.combined_val_mae.to_bits(), 2.156524f32.to_bits());
     let vals: Vec<u32> = r.parts.iter().map(|p| p.val_mae.to_bits()).collect();
     assert_eq!(vals, vec![2.8321512f32.to_bits(), 1.4808966f32.to_bits()]);
+}
+
+/// FNV-1a over every parameter's f32 bits, in `params()` order.
+fn param_digest(model: &dyn Module) -> u64 {
+    let mut h = 0xcbf2_9ce4_8422_2325u64;
+    for p in model.params() {
+        for v in p.value().to_vec() {
+            for b in v.to_bits().to_le_bytes() {
+                h ^= b as u64;
+                h = h.wrapping_mul(0x0000_0100_0000_01b3);
+            }
+        }
+    }
+    h
+}
+
+#[test]
+fn source_plane_reproduces_the_single_worker_trainer_loop() {
+    // The retired single-worker loop under DCRNN-style multi-step decay,
+    // at the `tests/engine_schedule.rs` configuration: per-epoch train
+    // losses and the final parameters, captured from that loop before it
+    // was deleted. The world-of-one `SourcePlane` replays its batch order.
+    let spec = DatasetSpec::get(DatasetKind::ChickenpoxHungary).scaled(0.2);
+    let sig = synthetic::generate(&spec, 11);
+    let ds = IndexDataset::from_signal(&sig, spec.horizon, SplitRatios::default(), None);
+    let supports = Support::wrap_all(diffusion_supports(&sig.adjacency, 2));
+    let model = PgtDcrnn::new(
+        ModelConfig {
+            input_dim: ds.num_features(),
+            output_dim: 1,
+            hidden: 4,
+            num_nodes: ds.num_nodes(),
+            horizon: spec.horizon,
+            diffusion_steps: 2,
+            layers: 1,
+        },
+        &supports,
+        7,
+    );
+    let mut cfg = DistConfig::new(1, 6, spec.horizon);
+    cfg.lr = 0.01;
+    cfg.batch_per_worker = 8;
+    cfg.seed = 42;
+    let opts = EngineOptions {
+        schedule: Some(std::sync::Arc::new(MultiStepLr {
+            base_lr: 0.01,
+            milestones: vec![2, 4],
+            gamma: 0.1,
+        })),
+        ..Default::default()
+    };
+    let (report, model) = engine::run_single(&cfg, &opts, |_| (SourcePlane::new(&ds, &cfg), model))
+        .expect("no resume");
+    let losses: Vec<u32> = report
+        .epochs
+        .iter()
+        .map(|e| e.train_loss.to_bits())
+        .collect();
+    assert_eq!(
+        losses,
+        vec![0x3f4d067a, 0x3f2a015b, 0x3f1fac82, 0x3f22a0d9, 0x3f216f80, 0x3f22146b],
+        "per-epoch train losses"
+    );
+    assert_eq!(
+        param_digest(&model),
+        0xb672_9f54_c550_8704,
+        "final parameters"
+    );
 }

@@ -1,62 +1,26 @@
-//! The engine's learning-rate schedule and resume semantics.
+//! The engine's learning-rate schedule and resume semantics, on the
+//! single-worker `SourcePlane`.
 //!
-//! Historically the engine built `Adam::new(params, effective_lr())` once
-//! and never consulted any schedule — the DCRNN multi-step decay only
-//! existed on the legacy single-worker `Trainer` path. These tests pin the
-//! fix three ways: a scheduled engine run is bit-identical to the legacy
-//! `Trainer::train_with_schedule` trajectory, a resumed run re-enters the
-//! schedule at the checkpoint's epoch (not the base rate), and degenerate
-//! resumes (at/past the horizon, corrupt bytes) surface explicitly instead
-//! of panicking or returning silently empty series.
+//! The engine applies an epoch-indexed schedule at the top of every epoch
+//! (the DCRNN multi-step decay). These tests pin it three ways: a
+//! scheduled run leaves the constant-rate trajectory exactly at the first
+//! milestone, a resumed run re-enters the schedule at the checkpoint's
+//! epoch (not the base rate), and degenerate resumes (at/past the horizon,
+//! corrupt bytes) surface explicitly instead of panicking or returning
+//! silently empty series. The scheduled trajectory's bits are pinned
+//! against the pre-engine single-worker loop in `tests/engine_goldens.rs`.
 
-use pgt_i::autograd::optim::Adam;
 use pgt_i::autograd::schedule::{LrSchedule, MultiStepLr};
-use pgt_i::autograd::Module;
 use pgt_i::core::dist_index::DistConfig;
-use pgt_i::core::engine::{self, DistDataPlane, EngineError, EngineOptions, Fetch};
+use pgt_i::core::engine::{self, EngineError, EngineOptions};
 use pgt_i::core::index_batching::IndexDataset;
-use pgt_i::core::trainer::{Trainer, TrainerConfig};
+use pgt_i::core::trainer::SourcePlane;
 use pgt_i::data::datasets::{DatasetKind, DatasetSpec};
-use pgt_i::data::loader::Batcher;
 use pgt_i::data::splits::SplitRatios;
 use pgt_i::data::synthetic;
 use pgt_i::graph::diffusion_supports;
 use pgt_i::models::{ModelConfig, PgtDcrnn, Support};
 use std::sync::Arc;
-
-/// A world-of-one plane that replays the legacy `Trainer`'s exact batch
-/// order (`Batcher::shuffled` is a different RNG than the engine's global
-/// stripe, so parity needs the Trainer's own plan).
-struct TrainerOrderPlane {
-    ds: IndexDataset,
-    batch: usize,
-    seed: u64,
-}
-
-impl DistDataPlane for TrainerOrderPlane {
-    fn rounds_per_epoch(&self) -> usize {
-        self.ds.splits().train.len().div_ceil(self.batch)
-    }
-
-    fn plan_epoch(&self, epoch: u64) -> Vec<Vec<usize>> {
-        let train_ids: Vec<usize> = self.ds.splits().train.clone().collect();
-        let batcher = Batcher::shuffled(train_ids, self.batch, self.seed, epoch);
-        batcher.batches().map(|b| b.to_vec()).collect()
-    }
-
-    fn plan_val(&self) -> Vec<Vec<usize>> {
-        Vec::new() // parity is judged on train loss + parameters
-    }
-
-    fn fetch_batch(&self, ids: &[usize]) -> Fetch {
-        let (x, y) = self.ds.batch(ids);
-        Fetch { x, y, secs: 0.0 }
-    }
-
-    fn scaler_std(&self) -> f32 {
-        self.ds.scaler().std
-    }
-}
 
 const SEED: u64 = 42;
 const LR: f32 = 0.01;
@@ -99,91 +63,42 @@ fn engine_cfg(epochs: usize) -> DistConfig {
     cfg.batch_per_worker = BATCH;
     cfg.lr = LR;
     cfg.seed = SEED;
-    // The flat sync path — the Trainer has no bucket machinery to mirror.
-    cfg.grad_bucket_bytes = None;
     cfg
 }
 
-fn scheduled_opts(epochs: usize) -> EngineOptions {
-    let _ = epochs;
+fn scheduled_opts() -> EngineOptions {
     EngineOptions {
         schedule: Some(Arc::new(decay())),
         ..Default::default()
     }
 }
 
-fn run_engine(epochs: usize, opts: &EngineOptions) -> (engine::EngineReport, PgtDcrnn) {
-    let cfg = engine_cfg(epochs);
-    engine::run_single(&cfg, opts, |_cm| {
-        let ds = dataset();
-        let model = model_for(&ds);
-        (
-            TrainerOrderPlane {
-                ds,
-                batch: BATCH,
-                seed: SEED,
-            },
-            model,
-        )
-    })
-    .expect("resume bytes, when present, are valid in these tests")
+fn run_engine(epochs: usize, opts: &EngineOptions) -> engine::EngineReport {
+    run_with(&engine_cfg(epochs), opts).expect("resume bytes, when present, are valid here")
 }
 
-fn param_bits(model: &PgtDcrnn) -> Vec<Vec<u32>> {
-    model
-        .params()
-        .iter()
-        .map(|p| p.value().to_vec().iter().map(|v| v.to_bits()).collect())
-        .collect()
+fn run_with(cfg: &DistConfig, opts: &EngineOptions) -> Result<engine::EngineReport, EngineError> {
+    let ds = dataset();
+    let model = model_for(&ds);
+    engine::run_single(cfg, opts, |_cm| (SourcePlane::new(&ds, cfg), model)).map(|(r, _)| r)
 }
 
 #[test]
-fn scheduled_engine_run_matches_the_legacy_trainer_bitwise() {
-    // The legacy path: Trainer + explicit optimizer + multi-step decay.
-    let ds = dataset();
-    let model = model_for(&ds);
-    let mut opt = Adam::new(model.params(), LR);
-    let trainer = Trainer::new(TrainerConfig {
-        epochs: 6,
-        batch_size: BATCH,
-        lr: LR,
-        seed: SEED,
-        validate: false,
-        grad_clip: Some(5.0),
-    });
-    let legacy = trainer.train_with_schedule(&model, &ds, &mut opt, &decay());
+fn scheduled_run_leaves_the_constant_rate_trajectory_at_the_first_milestone() {
+    let report = run_engine(6, &scheduled_opts());
+    assert_eq!(report.epochs.len(), 6);
 
-    // The engine, driving the same batches under the same schedule.
-    let (report, engine_model) = run_engine(6, &scheduled_opts(6));
-
-    assert_eq!(report.epochs.len(), legacy.epochs.len());
-    for (e, l) in report.epochs.iter().zip(&legacy.epochs) {
-        assert_eq!(
-            e.train_loss.to_bits(),
-            l.train_loss.to_bits(),
-            "epoch {}: engine {} vs trainer {}",
-            e.epoch,
-            e.train_loss,
-            l.train_loss
-        );
-    }
-    assert_eq!(
-        param_bits(&engine_model),
-        param_bits(&model),
-        "final parameters must be bit-identical"
-    );
-
-    // And the schedule demonstrably took effect: dropping it (the old,
-    // buggy behavior — constant effective_lr forever) lands on a
-    // different trajectory after the first milestone.
-    let (constant, _) = run_engine(6, &EngineOptions::default());
+    // The schedule demonstrably takes effect: dropping it (constant
+    // effective_lr forever) lands on a different trajectory after the
+    // first milestone.
+    let constant = run_engine(6, &EngineOptions::default());
     assert_ne!(
         constant.epochs.last().unwrap().train_loss.to_bits(),
         report.epochs.last().unwrap().train_loss.to_bits(),
         "a decayed rate must diverge from the constant-rate run"
     );
-    // Before the first milestone the two runs coincide exactly — the
-    // default constant schedule reproduces the legacy numerics.
+    // Before the first milestone the two runs coincide exactly: the
+    // schedule only moves the rate, never the batches.
     for (c, s) in constant.epochs.iter().zip(&report.epochs).take(2) {
         assert_eq!(c.train_loss.to_bits(), s.train_loss.to_bits());
     }
@@ -198,27 +113,24 @@ fn resume_reenters_the_schedule_at_the_checkpoint_epoch() {
         6,
         &EngineOptions {
             capture_checkpoint: true,
-            ..scheduled_opts(6)
+            ..scheduled_opts()
         },
-    )
-    .0;
+    );
     let head = run_engine(
         3,
         &EngineOptions {
             capture_checkpoint: true,
-            ..scheduled_opts(3)
+            ..scheduled_opts()
         },
-    )
-    .0;
+    );
     let resumed = run_engine(
         6,
         &EngineOptions {
             resume: Some(head.checkpoint.clone().expect("captured")),
             capture_checkpoint: true,
-            ..scheduled_opts(6)
+            ..scheduled_opts()
         },
-    )
-    .0;
+    );
     assert_eq!(
         straight.checkpoint, resumed.checkpoint,
         "resume must continue the schedule, not restart it"
@@ -241,8 +153,7 @@ fn zero_epoch_resume_reports_an_explicit_marker() {
             capture_checkpoint: true,
             ..Default::default()
         },
-    )
-    .0;
+    );
     let bytes = done.checkpoint.clone().expect("captured");
     let replay = run_engine(
         2,
@@ -251,8 +162,7 @@ fn zero_epoch_resume_reports_an_explicit_marker() {
             capture_checkpoint: true,
             ..Default::default()
         },
-    )
-    .0;
+    );
     assert_eq!(replay.epochs.len(), 1, "exactly one marker entry");
     let m = &replay.epochs[0];
     assert_eq!(m.epoch, 2, "marker carries the resume epoch");
@@ -277,28 +187,14 @@ fn corrupt_resume_bytes_surface_a_typed_error() {
             capture_checkpoint: true,
             ..Default::default()
         },
-    )
-    .0;
+    );
     let mut bytes = done.checkpoint.expect("captured");
     bytes.truncate(bytes.len() / 2);
-    let cfg = engine_cfg(2);
-    let result = engine::run_single(
-        &cfg,
+    let result = run_with(
+        &engine_cfg(2),
         &EngineOptions {
             resume: Some(bytes),
             ..Default::default()
-        },
-        |_cm| {
-            let ds = dataset();
-            let model = model_for(&ds);
-            (
-                TrainerOrderPlane {
-                    ds,
-                    batch: BATCH,
-                    seed: SEED,
-                },
-                model,
-            )
         },
     );
     match result {

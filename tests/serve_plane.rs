@@ -267,6 +267,52 @@ fn evicted_windows_reject_typed_through_the_full_serve_path() {
 }
 
 #[test]
+fn unknown_nodes_reject_typed_through_serve_and_a_registry_tenant() {
+    // A node outside the graph is refused before routing; its servable
+    // neighbour in the same call is still answered.
+    let adj = corridor();
+    let server = BatchedServer::with_history(
+        snapshot(&adj, 7),
+        adj,
+        &history(20),
+        ServeConfig::new(2, 12),
+    );
+    let queries = vec![
+        Query {
+            id: 0,
+            node: 1,
+            window_end: 20,
+            arrival_secs: 0.0,
+        },
+        Query {
+            id: 1,
+            node: NODES,
+            window_end: 20,
+            arrival_secs: 1e-6,
+        },
+    ];
+    let check = |report: &pgt_i::serve::ServeReport| {
+        assert_eq!(report.results.len(), 1);
+        assert_eq!(report.results[0].id, 0);
+        assert_eq!(report.rejections.len(), 1);
+        let r = &report.rejections[0];
+        // No shard owns the node: `shard` is the shard count.
+        assert_eq!((r.id, r.node, r.shard), (1, NODES, 2));
+        assert_eq!(
+            r.reason,
+            ShedReason::UnknownNode {
+                node: NODES,
+                nodes: NODES
+            }
+        );
+    };
+    check(&server.serve(&queries));
+    let registry = SnapshotRegistry::new();
+    registry.register("corridor", server).unwrap();
+    check(&registry.serve("corridor", &queries).unwrap());
+}
+
+#[test]
 fn a_query_is_servable_only_after_every_node_passes_its_watermark() {
     let adj = corridor();
     let mut server = BatchedServer::with_history(

@@ -1,15 +1,17 @@
 //! The serving contract, end to end: train → snapshot → load → serve must
-//! be **bit-identical** to the trainer's own evaluation forward pass, on
-//! one shard and on a partitioned deployment alike.
+//! be **bit-identical** to the training side's own evaluation forward
+//! pass (`trainer::evaluate`), on one shard and on a partitioned
+//! deployment alike.
 //!
 //! These tests deliberately cross the process-boundary shape of real
 //! deployment: the snapshot is written to disk and read back (fresh
 //! parameter tensors, fresh model shell), never sharing live state with
 //! the trainer that produced it.
 
-use pgt_i::autograd::optim::Adam;
 use pgt_i::autograd::{Checkpoint, Module, Tape};
-use pgt_i::core::trainer::{Trainer, TrainerConfig};
+use pgt_i::core::dist_index::DistConfig;
+use pgt_i::core::engine::{self, EngineOptions, EngineReport};
+use pgt_i::core::trainer::{evaluate, SourcePlane};
 use pgt_i::core::IndexDataset;
 use pgt_i::data::splits::SplitRatios;
 use pgt_i::data::synthetic;
@@ -21,6 +23,7 @@ use pgt_i::serve::{
 use pgt_i::tensor::ops as t;
 
 const HORIZON: usize = 4;
+const BATCH: usize = 8;
 
 fn setup() -> (PgtDcrnn, IndexDataset, pgt_i::graph::Adjacency, ModelConfig) {
     let net = pgt_i::graph::generators::highway_corridor(12, 1, 23);
@@ -44,15 +47,12 @@ fn setup() -> (PgtDcrnn, IndexDataset, pgt_i::graph::Adjacency, ModelConfig) {
     )
 }
 
-fn train_two_epochs(model: &PgtDcrnn, ds: &IndexDataset) -> Trainer {
-    let trainer = Trainer::new(TrainerConfig {
-        epochs: 2,
-        batch_size: 8,
-        validate: false,
-        ..Default::default()
-    });
-    trainer.train(model, ds);
-    trainer
+fn train_two_epochs(model: &PgtDcrnn, ds: &IndexDataset, opts: &EngineOptions) -> EngineReport {
+    let mut cfg = DistConfig::new(1, 2, HORIZON);
+    cfg.batch_per_worker = BATCH;
+    engine::run_single(&cfg, opts, |_| (SourcePlane::new(ds, &cfg), model))
+        .expect("no resume bytes to reject")
+        .0
 }
 
 /// Snapshot to a temp file and load it back — the "fresh process" half of
@@ -68,11 +68,11 @@ fn disk_roundtrip(snap: &ModelSnapshot, tag: &str) -> ModelSnapshot {
 #[test]
 fn snapshot_serving_is_bit_identical_to_trainer_evaluate_single_rank() {
     let (model, ds, adjacency, mc) = setup();
-    let trainer = train_two_epochs(&model, &ds);
+    train_two_epochs(&model, &ds, &EngineOptions::default());
 
-    // The trainer-side reference: evaluate's MAE over the val split.
+    // The training-side reference: evaluate's MAE over the val split.
     let val = ds.splits().val.clone();
-    let reference_mae = trainer.evaluate(&model, &ds, val.clone());
+    let reference_mae = evaluate(&model, &ds, val.clone(), BATCH);
 
     // Deployment: capture → disk → load → serve from the same history.
     let snap = ModelSnapshot::capture(mc, ds.scaler().clone(), Some(288), &model.params(), 2);
@@ -87,11 +87,10 @@ fn snapshot_serving_is_bit_identical_to_trainer_evaluate_single_rank() {
     // Replay evaluate's exact chunking through the serving forward and
     // re-accumulate its MAE — bit-identical, not approximately equal.
     let ids: Vec<usize> = val.collect();
-    let batch = trainer.config().batch_size;
     let replica = server.build_model();
     let mut abs_sum = 0.0f64;
     let mut count = 0usize;
-    for chunk in ids.chunks(batch) {
+    for chunk in ids.chunks(BATCH) {
         let (x, y) = ds.batch(chunk);
         let ends: Vec<usize> = chunk.iter().map(|&i| i + HORIZON).collect();
         let served = server
@@ -124,7 +123,7 @@ fn snapshot_serving_is_bit_identical_to_trainer_evaluate_single_rank() {
 #[test]
 fn snapshot_serving_is_bit_identical_on_two_shards() {
     let (model, ds, adjacency, mc) = setup();
-    train_two_epochs(&model, &ds);
+    train_two_epochs(&model, &ds, &EngineOptions::default());
 
     let snap = ModelSnapshot::capture(mc, ds.scaler().clone(), Some(288), &model.params(), 2);
     let loaded = disk_roundtrip(&snap, "sharded");
@@ -187,13 +186,19 @@ fn snapshot_serving_is_bit_identical_on_two_shards() {
 
 #[test]
 fn engine_checkpoint_feeds_the_snapshot_path() {
-    // The deployment path from *distributed* training: the engine's
-    // checkpoint bytes (model + Adam + epoch) become a serving snapshot —
-    // optimizer state dropped, forward values preserved exactly.
+    // The deployment path from engine training: the engine's checkpoint
+    // bytes (model + Adam + epoch) become a serving snapshot — optimizer
+    // state dropped, forward values preserved exactly.
     let (model, ds, adjacency, mc) = setup();
-    let trainer = train_two_epochs(&model, &ds);
-    let opt = Adam::new(model.params(), 0.01);
-    let bytes = Checkpoint::capture(&model.params(), &opt, 2).to_bytes();
+    let report = train_two_epochs(
+        &model,
+        &ds,
+        &EngineOptions {
+            capture_checkpoint: true,
+            ..Default::default()
+        },
+    );
+    let bytes = report.checkpoint.expect("captured");
 
     let ck = Checkpoint::from_bytes(&bytes).expect("valid checkpoint");
     let snap = ModelSnapshot::from_checkpoint(&ck, mc, ds.scaler().clone(), Some(288));
@@ -207,12 +212,12 @@ fn engine_checkpoint_feeds_the_snapshot_path() {
     );
 
     let val = ds.splits().val.clone();
-    let reference = trainer.evaluate(&model, &ds, val.clone());
+    let reference = evaluate(&model, &ds, val.clone(), BATCH);
     let ids: Vec<usize> = val.collect();
     let replica = server.build_model();
     let mut abs_sum = 0.0f64;
     let mut count = 0usize;
-    for chunk in ids.chunks(trainer.config().batch_size) {
+    for chunk in ids.chunks(BATCH) {
         let (_, y) = ds.batch(chunk);
         let ends: Vec<usize> = chunk.iter().map(|&i| i + HORIZON).collect();
         let served = server
