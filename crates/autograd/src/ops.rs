@@ -247,6 +247,7 @@ pub fn matmul(a: &Var, b: &Var) -> Var {
     let v = t::matmul(a.value(), b.value()).expect("matmul shapes");
     let (av, bv) = (a.value().clone(), b.value().clone());
     a.tape().custom_op(&[a, b], v, move |g| {
+        // The transposes are views; the GEMM reads them in place.
         let da = t::matmul(g, &bv.t().expect("rank 2")).expect("grad matmul");
         let db = t::matmul(&av.t().expect("rank 2"), g).expect("grad matmul");
         vec![da, db]
@@ -260,23 +261,25 @@ pub fn bmm(a: &Var, b: &Var) -> Var {
     let (av, bv) = (a.value().clone(), b.value().clone());
     let shared = b.value().rank() == 2;
     a.tape().custom_op(&[a, b], v, move |g| {
-        // dA[b] = dC[b] @ B[b]^T ; dB[b] = A[b]^T @ dC[b]
-        let bs = av.dim(0);
+        // dA[b] = dC[b] @ B[b]^T ; dB[b] = A[b]^T @ dC[b]. The transposes
+        // are views; the GEMM reads them in place.
         let bt = if shared {
             bv.t().expect("rank 2")
         } else {
             bv.transpose(1, 2).expect("rank 3")
         };
-        let da = t::bmm(g, &bt.contiguous()).expect("grad bmm");
-        let at = av.transpose(1, 2).expect("rank 3").contiguous();
+        let da = t::bmm(g, &bt).expect("grad bmm");
+        let at = av.transpose(1, 2).expect("rank 3");
         let db_batched = t::bmm(&at, g).expect("grad bmm");
         let db = if shared {
-            // Sum over the batch dimension to match the shared [k,n] rhs.
-            let mut acc = db_batched.select(0, 0).expect("batch >= 1");
-            for i in 1..bs {
-                acc = t::add(&acc, &db_batched.select(0, i).expect("in range")).expect("same");
+            // Sum over the batch as ((db0 + db1) + db2)… to match the
+            // shared [k,n] rhs; an empty batch has a zero gradient.
+            let mut parts =
+                (0..db_batched.dim(0)).map(|i| db_batched.select(0, i).expect("in range"));
+            match parts.next() {
+                Some(first) => parts.fold(first, |acc, di| t::add(&acc, &di).expect("same")),
+                None => Tensor::zeros(bv.shape().clone()),
             }
-            acc
         } else {
             db_batched
         };
@@ -744,6 +747,20 @@ mod tests {
             },
             1e-2,
         );
+    }
+
+    #[test]
+    fn bmm_shared_rhs_backward_on_an_empty_batch_is_a_zero_weight_grad() {
+        let tape = Tape::new();
+        let x = tape.leaf(Tensor::zeros([0, 3, 4]));
+        let w = tape.leaf(Tensor::ones([4, 2]));
+        let y = bmm(&x, &w);
+        assert_eq!(y.value().dims(), &[0, 3, 2]);
+        let grads = tape.backward(&sum_all(&y));
+        let dw = grads.get_or_zeros(&w);
+        assert_eq!(dw.dims(), &[4, 2]);
+        assert!(dw.to_vec().iter().all(|&v| v == 0.0));
+        assert_eq!(grads.get_or_zeros(&x).dims(), &[0, 3, 4]);
     }
 
     #[test]

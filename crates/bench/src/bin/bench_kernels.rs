@@ -2,9 +2,12 @@
 //!
 //! Times the `st_tensor` compute backends against each other on the dense
 //! kernels the DCRNN step is made of — square matmul, the seq2seq-unroll
-//! shared-rhs bmm, and the fused `bias+σ/tanh` gate tail — then runs the
-//! same PGT-DCRNN workload `ablation_overlap` drives (PemsBay scaled to
-//! `DIST_SCALE`) end-to-end under each backend and compares wall time.
+//! shared-rhs bmm (one GEMM over the batch's rows), and the fused
+//! `bias+σ/tanh` gate tail — then runs the same PGT-DCRNN workload
+//! `ablation_overlap` drives (PemsBay scaled to `DIST_SCALE`) end-to-end
+//! under each backend and compares wall time. An informational row times
+//! the DCGRU weight-gradient GEMM `Aᵀ·G` on the tiled backend with `Aᵀ`
+//! read in place versus gathered by `transpose().contiguous()` first.
 //!
 //! Two claims are asserted in-binary so CI fails the build when a
 //! regression lands:
@@ -24,7 +27,7 @@ use st_data::synthetic;
 use st_graph::diffusion_supports;
 use st_models::{ModelConfig, PgtDcrnn, Seq2Seq, Support};
 use st_report::table::Table;
-use st_tensor::backend::{kernels_for, Activation, BackendKind, Kernels};
+use st_tensor::backend::{kernels_for, Activation, BackendKind, Kernels, MatRef};
 use st_tensor::random::{rng_from_seed, uniform};
 use std::time::Instant;
 
@@ -74,13 +77,14 @@ fn time_matmul(rows: &mut Vec<Row>, reps: usize, n: usize) {
     // each rep re-zeros; the fill is symmetric noise on both sides.
     let mut cr = vec![0.0f32; n * n];
     let mut ct = vec![0.0f32; n * n];
+    let (av, bv) = (MatRef::row_major(&av, n, n), MatRef::row_major(&bv, n, n));
     let ref_ns = best_ns(reps, || {
         cr.fill(0.0);
-        reference.matmul(&av, &bv, &mut cr, n, n, n)
+        reference.matmul(av, bv, &mut cr, n, n, n)
     });
     let tiled_ns = best_ns(reps, || {
         ct.fill(0.0);
-        tiled.matmul(&av, &bv, &mut ct, n, n, n)
+        tiled.matmul(av, bv, &mut ct, n, n, n)
     });
     assert_bits_equal(&cr, &ct, "matmul");
     rows.push(Row {
@@ -93,7 +97,8 @@ fn time_matmul(rows: &mut Vec<Row>, reps: usize, n: usize) {
 
 fn time_bmm(rows: &mut Vec<Row>, reps: usize, bs: usize, m: usize, k: usize, n: usize) {
     // The seq2seq-unroll shape: a per-step [B, N, K·io] activation against
-    // one shared [K·io, H] weight — packing amortizes across the batch.
+    // one shared [K·io, H] weight. `ops::bmm` lowers it to one GEMM over
+    // the batch's [B·N, K·io] rows, so the weight is packed once.
     let mut rng = rng_from_seed(8);
     let a = uniform([bs, m, k], -1.0, 1.0, &mut rng);
     let b = uniform([k, n], -1.0, 1.0, &mut rng);
@@ -102,13 +107,17 @@ fn time_bmm(rows: &mut Vec<Row>, reps: usize, bs: usize, m: usize, k: usize, n: 
     let tiled: &dyn Kernels = kernels_for(BackendKind::Tiled);
     let mut cr = vec![0.0f32; bs * m * n];
     let mut ct = vec![0.0f32; bs * m * n];
+    let (av, bv) = (
+        MatRef::row_major(&av, bs * m, k),
+        MatRef::row_major(&bv, k, n),
+    );
     let ref_ns = best_ns(reps, || {
         cr.fill(0.0);
-        reference.bmm(&av, &bv, &mut cr, bs, m, k, n, true)
+        reference.matmul(av, bv, &mut cr, bs * m, k, n)
     });
     let tiled_ns = best_ns(reps, || {
         ct.fill(0.0);
-        tiled.bmm(&av, &bv, &mut ct, bs, m, k, n, true)
+        tiled.matmul(av, bv, &mut ct, bs * m, k, n)
     });
     assert_bits_equal(&cr, &ct, "bmm");
     rows.push(Row {
@@ -117,6 +126,34 @@ fn time_bmm(rows: &mut Vec<Row>, reps: usize, bs: usize, m: usize, k: usize, n: 
         ref_ns,
         tiled_ns,
     });
+}
+
+/// Tiled-backend time for the weight-gradient GEMM `dW[b] = X[b]ᵀ·G[b]`
+/// (`X: [bs, m, k]`, `G: [bs, m, n]`): `Aᵀ` gathered by
+/// `transpose().contiguous()` and then multiplied, versus read in place.
+/// Returns `(copy_ns, in_place_ns)`.
+fn time_transposed_lhs(reps: usize, bs: usize, m: usize, k: usize, n: usize) -> (f64, f64) {
+    let mut rng = rng_from_seed(10);
+    let x = uniform([bs, m, k], -1.0, 1.0, &mut rng);
+    let g = uniform([bs, m, n], -1.0, 1.0, &mut rng);
+    let gv = g.to_vec();
+    let xv = x.to_vec();
+    let tiled: &dyn Kernels = kernels_for(BackendKind::Tiled);
+    let g_ref = MatRef::row_major(&gv, m, n);
+    let mut cc = vec![0.0f32; bs * k * n];
+    let mut ci = vec![0.0f32; bs * k * n];
+    let copy_ns = best_ns(reps, || {
+        cc.fill(0.0);
+        let at = x.transpose(1, 2).expect("rank 3").contiguous();
+        let at = MatRef::row_major(at.as_slice().expect("contiguous"), k, m);
+        tiled.bmm(at, g_ref, &mut cc, bs, k, m, n)
+    });
+    let in_place_ns = best_ns(reps, || {
+        ci.fill(0.0);
+        tiled.bmm(MatRef::col_major(&xv, k, m), g_ref, &mut ci, bs, k, m, n)
+    });
+    assert_bits_equal(&cc, &ci, "transposed lhs");
+    (copy_ns, in_place_ns)
 }
 
 fn time_fused_gate(rows: &mut Vec<Row>, reps: usize, elems: usize, width: usize) {
@@ -184,6 +221,11 @@ fn main() {
     }
     time_bmm(&mut rows, reps, 8, 325, 160, hidden);
     time_fused_gate(&mut rows, reps, 8 * 325 * hidden, hidden);
+    // A DCGRU gate's weight gradient at the perfbench `train-index`
+    // shape: 8 × [96×102]ᵀ·[96×32].
+    let (wg_bs, wg_m, wg_k, wg_n) = (8, 96, 102, hidden);
+    let (wg_copy_ns, wg_in_place_ns) = time_transposed_lhs(reps, wg_bs, wg_m, wg_k, wg_n);
+    let wg_size = format!("{wg_bs}x[{wg_m}x{wg_k}]^Tx[{wg_m}x{wg_n}]");
 
     // End-to-end: same workload, both backends, best-of-N wall time.
     // Losses must agree bit-for-bit — the backends differ only in speed.
@@ -228,6 +270,18 @@ fn main() {
         format!("{e2e_speedup:.2}×"),
     ]);
     println!("{}", table.to_text());
+    let mut layout = Table::new(
+        "Transposed GEMM operand on the tiled backend (informational, not gated)",
+        &["kernel", "size", "copy µs", "in-place µs", "speedup"],
+    );
+    layout.row(&[
+        "weight_grad_at".into(),
+        wg_size.clone(),
+        format!("{:.1}", wg_copy_ns / 1e3),
+        format!("{:.1}", wg_in_place_ns / 1e3),
+        format!("{:.2}×", wg_copy_ns / wg_in_place_ns),
+    ]);
+    println!("{}", layout.to_text());
 
     // JSON artifact for the perf trajectory.
     let json_rows: Vec<String> = rows
@@ -246,10 +300,16 @@ fn main() {
         .collect();
     let json = format!(
         "{{\n  \"bench\": \"bench_kernels\",\n  \"smoke\": {},\n  \"rows\": [\n{}\n  ],\n  \
+         \"transposed_lhs\": {{\"kernel\": \"weight_grad_at\", \"size\": \"{}\", \
+         \"copy_ns\": {:.1}, \"in_place_ns\": {:.1}, \"speedup\": {:.4}}},\n  \
          \"e2e\": {{\"workload\": \"dist_index pems-bay@{} h{hidden} w2\", \
          \"ref_wall_s\": {:.6}, \"tiled_wall_s\": {:.6}, \"speedup\": {:.4}}}\n}}\n",
         smoke,
         json_rows.join(",\n"),
+        wg_size,
+        wg_copy_ns,
+        wg_in_place_ns,
+        wg_copy_ns / wg_in_place_ns,
         st_bench::DIST_SCALE,
         ref_wall,
         tiled_wall,
@@ -275,8 +335,9 @@ fn main() {
         "tiled backend must win end-to-end: tiled {tiled_wall:.3}s vs reference {ref_wall:.3}s"
     );
     println!(
-        "Reading: the tiled backend packs B-panels once per (shared-rhs batched) \
-         GEMM and walks 4x8 register tiles with the k-loop in reference order, so \
+        "Reading: the tiled backend packs B-panels once per GEMM (a shared-rhs \
+         bmm is one GEMM over the batch's rows), reads transposed operands in \
+         place, and walks 4x8 register tiles with the k-loop in reference order, so \
          every output bit matches the naive kernel while the cache behavior does \
          not. Fused gate tails collapse the reference's materializing passes into \
          one. Gates: matmul@256 >= 1.5x, e2e wall win with bit-identical losses."

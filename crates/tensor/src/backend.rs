@@ -17,9 +17,11 @@
 //! contract float expressions by default, so the rounding sequence of every
 //! output element is exactly the reference kernel's. This is what lets the
 //! engine's golden tests pin train-loss *bits* while the backend underneath
-//! is swapped freely. The proptest suite (`tests/proptests_kernels.rs`)
-//! pins the contract across ragged shapes; DESIGN.md §8 documents the
-//! reasoning.
+//! is swapped freely. GEMM operands are strided [`MatRef`] views, so a
+//! transposed operand is read in place; a stride moves where a load comes
+//! from, never the order of any sum. The proptest suite
+//! (`tests/proptests_kernels.rs`) pins the contract across ragged shapes
+//! and operand layouts; DESIGN.md §8 documents the reasoning.
 //!
 //! # Selection
 //!
@@ -193,31 +195,112 @@ pub fn timed<R>(class: KernelClass, f: impl FnOnce() -> R) -> R {
 // The trait
 // ---------------------------------------------------------------------------
 
-/// Raw-slice compute kernels a backend must provide.
+/// A strided view of a GEMM operand over a flat buffer: element `(i, j)` of
+/// matrix `b` in a batch sits at
+/// `data[offset + b*batch_stride + i*row_stride + j*col_stride]`.
 ///
-/// Shape validation, contiguity, and tensor construction stay in
-/// `st_tensor::ops`; implementations only see flat buffers. Every method
-/// must honor the crate's bitwise-equality contract (see module docs).
+/// This is how a kernel reads a transposed (`row_stride == 1`), narrowed or
+/// batch-strided tensor view in place instead of gathering it first. The
+/// packers have fast paths for row-major (`col_stride == 1`) and
+/// column-major (`row_stride == 1`) layouts; other strides are read one
+/// element at a time.
+#[derive(Debug, Clone, Copy)]
+pub struct MatRef<'a> {
+    /// The backing buffer (typically a tensor's whole storage).
+    pub data: &'a [f32],
+    /// Element offset of matrix 0, row 0, column 0.
+    pub offset: usize,
+    /// Elements between consecutive rows.
+    pub row_stride: usize,
+    /// Elements between consecutive columns.
+    pub col_stride: usize,
+    /// Elements between consecutive matrices of a batch (`bmm` only;
+    /// `0` shares one matrix across the batch).
+    pub batch_stride: usize,
+}
+
+impl<'a> MatRef<'a> {
+    /// Row-major `[rows, cols]` matrices stored back to back.
+    pub fn row_major(data: &'a [f32], rows: usize, cols: usize) -> Self {
+        MatRef {
+            data,
+            offset: 0,
+            row_stride: cols,
+            col_stride: 1,
+            batch_stride: rows * cols,
+        }
+    }
+
+    /// Column-major `[rows, cols]` matrices stored back to back — the
+    /// in-place transpose of row-major `[cols, rows]` storage.
+    pub fn col_major(data: &'a [f32], rows: usize, cols: usize) -> Self {
+        MatRef {
+            data,
+            offset: 0,
+            row_stride: 1,
+            col_stride: rows,
+            batch_stride: rows * cols,
+        }
+    }
+
+    /// Matrix `b` of the batch.
+    #[inline]
+    fn batch(self, b: usize) -> Self {
+        MatRef {
+            offset: self.offset + b * self.batch_stride,
+            ..self
+        }
+    }
+
+    /// The view starting at row `i`.
+    #[inline]
+    fn rows_from(self, i: usize) -> Self {
+        MatRef {
+            offset: self.offset + i * self.row_stride,
+            ..self
+        }
+    }
+
+    /// Element `(i, j)`.
+    #[inline]
+    fn at(&self, i: usize, j: usize) -> f32 {
+        self.data[self.offset + i * self.row_stride + j * self.col_stride]
+    }
+
+    /// Row `i`'s first `len` elements as a slice, when rows are contiguous.
+    #[inline]
+    fn row(&self, i: usize, len: usize) -> Option<&'a [f32]> {
+        let start = self.offset + i * self.row_stride;
+        (self.col_stride == 1).then(|| &self.data[start..start + len])
+    }
+}
+
+/// Raw-buffer compute kernels a backend must provide.
+///
+/// Shape validation, operand layout, and tensor construction stay in
+/// `st_tensor::ops`; implementations only see flat buffers and strided
+/// [`MatRef`] operands. Every method must honor the crate's
+/// bitwise-equality contract (see module docs).
 pub trait Kernels: Sync {
     /// Backend name for reports and bench labels.
     fn name(&self) -> &'static str;
 
-    /// `out[m,n] = a[m,k] @ b[k,n]`, `out` pre-zeroed.
-    fn matmul(&self, a: &[f32], b: &[f32], out: &mut [f32], m: usize, k: usize, n: usize);
+    /// `out[m,n] = a[m,k] @ b[k,n]`, `out` pre-zeroed and row-major. Batch
+    /// strides are ignored.
+    fn matmul(&self, a: MatRef<'_>, b: MatRef<'_>, out: &mut [f32], m: usize, k: usize, n: usize);
 
-    /// Batched `out[bs,m,n] = a[bs,m,k] @ b`, `out` pre-zeroed. `b` is
-    /// `[bs,k,n]`, or `[k,n]` shared across the batch when `shared_rhs`.
+    /// Batched `out[i] = a[i] @ b[i]` for `i < bs`: `a` is `[bs,m,k]`, `b`
+    /// is `[bs,k,n]`, and `out` is pre-zeroed row-major `[bs,m,n]`.
     #[allow(clippy::too_many_arguments)]
     fn bmm(
         &self,
-        a: &[f32],
-        b: &[f32],
+        a: MatRef<'_>,
+        b: MatRef<'_>,
         out: &mut [f32],
         bs: usize,
         m: usize,
         k: usize,
         n: usize,
-        shared_rhs: bool,
     );
 
     /// CSR sparse×dense: `out[rows,n] = S @ x[cols,n]`, `out` pre-zeroed.
@@ -260,46 +343,34 @@ impl Kernels for Reference {
         "reference"
     }
 
-    fn matmul(&self, a: &[f32], b: &[f32], out: &mut [f32], m: usize, k: usize, n: usize) {
-        debug_assert_eq!(a.len(), m * k);
-        debug_assert_eq!(b.len(), k * n);
+    fn matmul(&self, a: MatRef<'_>, b: MatRef<'_>, out: &mut [f32], m: usize, k: usize, n: usize) {
         debug_assert_eq!(out.len(), m * n);
         if m == 0 || n == 0 {
             return;
         }
         par::parallel_fill_chunks(out, n, m * n * k, |i, row| {
-            naive_row_kernel(&a[i * k..(i + 1) * k], b, row, n);
+            naive_row_kernel(a, i, b, row, k);
         });
     }
 
     fn bmm(
         &self,
-        a: &[f32],
-        b: &[f32],
+        a: MatRef<'_>,
+        b: MatRef<'_>,
         out: &mut [f32],
         bs: usize,
         m: usize,
         k: usize,
         n: usize,
-        shared_rhs: bool,
     ) {
+        debug_assert_eq!(out.len(), bs * m * n);
         if bs == 0 || m == 0 || n == 0 {
             return;
         }
         par::parallel_fill_chunks(out, m * n, bs * m * n * k, |i, slab| {
-            let a_i = &a[i * m * k..(i + 1) * m * k];
-            let b_i = if shared_rhs {
-                b
-            } else {
-                &b[i * k * n..(i + 1) * k * n]
-            };
-            for r in 0..m {
-                naive_row_kernel(
-                    &a_i[r * k..(r + 1) * k],
-                    b_i,
-                    &mut slab[r * n..(r + 1) * n],
-                    n,
-                );
+            let (a_i, b_i) = (a.batch(i), b.batch(i));
+            for (r, row) in slab.chunks_exact_mut(n).enumerate() {
+                naive_row_kernel(a_i, r, b_i, row, k);
             }
         });
     }
@@ -364,13 +435,23 @@ impl Kernels for Reference {
     }
 }
 
-/// One output row of the naive i-k-j GEMM: `row += a_row @ b`.
+/// One output row of the naive i-k-j GEMM: `row += a[i, ..] @ b`.
 #[inline]
-fn naive_row_kernel(arow: &[f32], b: &[f32], row: &mut [f32], n: usize) {
-    for (l, &al) in arow.iter().enumerate() {
-        let brow = &b[l * n..(l + 1) * n];
-        for (c, &bv) in row.iter_mut().zip(brow) {
-            *c += al * bv;
+fn naive_row_kernel(a: MatRef<'_>, i: usize, b: MatRef<'_>, row: &mut [f32], k: usize) {
+    let n = row.len();
+    for l in 0..k {
+        let al = a.at(i, l);
+        match b.row(l, n) {
+            Some(brow) => {
+                for (c, &bv) in row.iter_mut().zip(brow) {
+                    *c += al * bv;
+                }
+            }
+            None => {
+                for (j, c) in row.iter_mut().enumerate() {
+                    *c += al * b.at(l, j);
+                }
+            }
         }
     }
 }
@@ -404,9 +485,7 @@ impl Kernels for Tiled {
         "tiled"
     }
 
-    fn matmul(&self, a: &[f32], b: &[f32], out: &mut [f32], m: usize, k: usize, n: usize) {
-        debug_assert_eq!(a.len(), m * k);
-        debug_assert_eq!(b.len(), k * n);
+    fn matmul(&self, a: MatRef<'_>, b: MatRef<'_>, out: &mut [f32], m: usize, k: usize, n: usize) {
         debug_assert_eq!(out.len(), m * n);
         if m == 0 || n == 0 {
             return;
@@ -420,35 +499,26 @@ impl Kernels for Tiled {
 
     fn bmm(
         &self,
-        a: &[f32],
-        b: &[f32],
+        a: MatRef<'_>,
+        b: MatRef<'_>,
         out: &mut [f32],
         bs: usize,
         m: usize,
         k: usize,
         n: usize,
-        shared_rhs: bool,
     ) {
+        debug_assert_eq!(out.len(), bs * m * n);
         if bs == 0 || m == 0 || n == 0 {
             return;
         }
         let work = bs * m * n * k;
         if k == 0 || work < TILE_MIN_WORK {
-            return Reference.bmm(a, b, out, bs, m, k, n, shared_rhs);
+            return Reference.bmm(a, b, out, bs, m, k, n);
         }
-        if shared_rhs {
-            // Pack once, amortized across the whole batch — the seq2seq
-            // unroll's projection layers all take this path.
-            let packed = pack_b(b, k, n);
-            par::parallel_fill_chunks(out, m * n, work, |i, slab| {
-                tiled_rows(&a[i * m * k..(i + 1) * m * k], &packed, slab, m, k, n);
-            });
-        } else {
-            par::parallel_fill_chunks(out, m * n, work, |i, slab| {
-                let packed = pack_b(&b[i * k * n..(i + 1) * k * n], k, n);
-                tiled_rows(&a[i * m * k..(i + 1) * m * k], &packed, slab, m, k, n);
-            });
-        }
+        par::parallel_fill_chunks(out, m * n, work, |i, slab| {
+            let packed = pack_b(b.batch(i), k, n);
+            tiled_rows(a.batch(i), &packed, slab, m, k, n);
+        });
     }
 
     fn spmm(
@@ -512,18 +582,27 @@ impl Kernels for Tiled {
 
 /// Pack `b[k,n]` into `NR`-column panels: panel `p` holds columns
 /// `p*NR..p*NR+NR` contiguously per `k` step (`packed[(p*k + l)*NR + c] =
-/// b[l*n + p*NR + c]`), zero-padded past `n`. Padded lanes are computed but
-/// never stored to `out`.
-fn pack_b(b: &[f32], k: usize, n: usize) -> Vec<f32> {
+/// b[l, p*NR + c]`), zero-padded past `n`. Padded lanes are computed but
+/// never stored to `out`. A row-major `b` is copied row segment by row
+/// segment; a column-major one column by column.
+fn pack_b(b: MatRef<'_>, k: usize, n: usize) -> Vec<f32> {
     let panels = n.div_ceil(NR);
     let mut packed = vec![0.0f32; panels * k * NR];
     for p in 0..panels {
         let j0 = p * NR;
         let w = NR.min(n - j0);
-        let base = p * k * NR;
-        for l in 0..k {
-            let src = &b[l * n + j0..l * n + j0 + w];
-            packed[base + l * NR..base + l * NR + w].copy_from_slice(src);
+        let dst = &mut packed[p * k * NR..(p + 1) * k * NR];
+        if b.col_stride == 1 {
+            for (l, lane) in dst.chunks_exact_mut(NR).enumerate() {
+                let start = b.offset + l * b.row_stride + j0;
+                lane[..w].copy_from_slice(&b.data[start..start + w]);
+            }
+        } else {
+            for c in 0..w {
+                for (l, lane) in dst.chunks_exact_mut(NR).enumerate() {
+                    lane[c] = b.at(l, j0 + c);
+                }
+            }
         }
     }
     packed
@@ -532,7 +611,7 @@ fn pack_b(b: &[f32], k: usize, n: usize) -> Vec<f32> {
 /// Tiled GEMM over `out[m,n]` with `packed` panels, parallel across
 /// MR-aligned row blocks.
 fn tiled_rows_parallel(
-    a: &[f32],
+    a: MatRef<'_>,
     packed: &[f32],
     out: &mut [f32],
     m: usize,
@@ -549,9 +628,8 @@ fn tiled_rows_parallel(
     crossbeam::scope(|scope| {
         for (t, slab) in out.chunks_mut(per * MR * n).enumerate() {
             scope.spawn(move |_| {
-                let i0 = t * per * MR;
                 let rows = slab.len() / n;
-                tiled_rows(&a[i0 * k..(i0 + rows) * k], packed, slab, rows, k, n);
+                tiled_rows(a.rows_from(t * per * MR), packed, slab, rows, k, n);
             });
         }
     })
@@ -560,10 +638,11 @@ fn tiled_rows_parallel(
 
 /// Sequential tiled GEMM body: `out[m,n] = a[m,k] @ B` where `B` was packed
 /// by [`pack_b`]. Each `MR`-row block of `A` is repacked `l`-major
-/// (`apack[l*MR + r] = a[(i+r)*k + l]`, zero-padded lanes past `m`) so the
+/// (`apack[l*MR + r] = a[i + r, l]`, zero-padded lanes past `m`) so the
 /// micro-kernel streams both operands contiguously; the pack cost is repaid
-/// `n/NR` times over as the block sweeps the panels.
-fn tiled_rows(a: &[f32], packed: &[f32], out: &mut [f32], m: usize, k: usize, n: usize) {
+/// `n/NR` times over as the block sweeps the panels. A column-major `A`
+/// (a transposed view) fills each lane with one contiguous `MR`-float read.
+fn tiled_rows(a: MatRef<'_>, packed: &[f32], out: &mut [f32], m: usize, k: usize, n: usize) {
     let panels = n.div_ceil(NR);
     let mut apack = vec![0.0f32; k * MR];
     let mut i = 0;
@@ -573,10 +652,25 @@ fn tiled_rows(a: &[f32], packed: &[f32], out: &mut [f32], m: usize, k: usize, n:
             // Padded row lanes accumulate zeros and are never stored.
             apack.fill(0.0);
         }
-        for r in 0..rows {
-            let arow = &a[(i + r) * k..(i + r + 1) * k];
-            for (l, &av) in arow.iter().enumerate() {
-                apack[l * MR + r] = av;
+        if a.row_stride == 1 {
+            for (l, lane) in apack.chunks_exact_mut(MR).enumerate() {
+                let start = a.offset + i + l * a.col_stride;
+                lane[..rows].copy_from_slice(&a.data[start..start + rows]);
+            }
+        } else {
+            for r in 0..rows {
+                match a.row(i + r, k) {
+                    Some(arow) => {
+                        for (l, &av) in arow.iter().enumerate() {
+                            apack[l * MR + r] = av;
+                        }
+                    }
+                    None => {
+                        for l in 0..k {
+                            apack[l * MR + r] = a.at(i + r, l);
+                        }
+                    }
+                }
             }
         }
         for p in 0..panels {
@@ -629,8 +723,9 @@ mod tests {
         let b = fill(k * n, 2);
         let mut r = vec![0.0f32; m * n];
         let mut t = vec![0.0f32; m * n];
-        Reference.matmul(&a, &b, &mut r, m, k, n);
-        Tiled.matmul(&a, &b, &mut t, m, k, n);
+        let (a, b) = (MatRef::row_major(&a, m, k), MatRef::row_major(&b, k, n));
+        Reference.matmul(a, b, &mut r, m, k, n);
+        Tiled.matmul(a, b, &mut t, m, k, n);
         (r, t)
     }
 
@@ -659,11 +754,17 @@ mod tests {
         let a = fill(bs * m * k, 3);
         let shared = fill(k * n, 4);
         let per = fill(bs * k * n, 5);
-        for (b, shared_rhs) in [(&shared, true), (&per, false)] {
+        let a = MatRef::row_major(&a, m, k);
+        // A shared rhs is a batch stride of zero.
+        let shared = MatRef {
+            batch_stride: 0,
+            ..MatRef::row_major(&shared, k, n)
+        };
+        for (b, shared_rhs) in [(shared, true), (MatRef::row_major(&per, k, n), false)] {
             let mut r = vec![0.0f32; bs * m * n];
             let mut t = vec![0.0f32; bs * m * n];
-            Reference.bmm(&a, b, &mut r, bs, m, k, n, shared_rhs);
-            Tiled.bmm(&a, b, &mut t, bs, m, k, n, shared_rhs);
+            Reference.bmm(a, b, &mut r, bs, m, k, n);
+            Tiled.bmm(a, b, &mut t, bs, m, k, n);
             let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
             assert_eq!(bits(&r), bits(&t), "shared_rhs={shared_rhs}");
         }
@@ -735,7 +836,14 @@ mod tests {
         let b = vec![f32::NAN, f32::INFINITY, 1.0, 1.0];
         for kind in [BackendKind::Reference, BackendKind::Tiled] {
             let mut out = vec![0.0f32; m * n];
-            kernels_for(kind).matmul(&a, &b, &mut out, m, k, n);
+            kernels_for(kind).matmul(
+                MatRef::row_major(&a, m, k),
+                MatRef::row_major(&b, k, n),
+                &mut out,
+                m,
+                k,
+                n,
+            );
             assert!(out[0].is_nan(), "{kind:?}: 0×NaN must propagate");
             assert!(out[1].is_nan(), "{kind:?}: 0×Inf is NaN");
             assert!(out[2].is_nan() && out[3].is_infinite(), "{kind:?}");

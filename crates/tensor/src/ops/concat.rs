@@ -42,17 +42,18 @@ pub fn concat(tensors: &[&Tensor], dim: usize) -> Result<Tensor> {
 
     let outer: usize = out_dims[..dim].iter().product();
     let inner: usize = out_dims[dim + 1..].iter().product();
-    let mut out = vec![0.0f32; outer * cat_len * inner];
-    // Copy per outer-slab, advancing a cursor through the concat axis.
-    let parts: Vec<Vec<f32>> = tensors.iter().map(|t| t.to_vec()).collect();
+    let mut out = Vec::with_capacity(outer * cat_len * inner);
+    // Contiguous inputs are read in place; only strided views are gathered.
+    let parts: Vec<Tensor> = tensors.iter().map(|t| t.contiguous()).collect();
+    let parts: Vec<&[f32]> = parts
+        .iter()
+        .map(|t| t.as_slice().expect("contiguous"))
+        .collect();
+    // Append each input's slab for every outer index in output order.
     for o in 0..outer {
-        let mut cursor = 0usize;
         for (t, part) in tensors.iter().zip(&parts) {
             let len = t.dim(dim) * inner;
-            let src = &part[o * len..(o + 1) * len];
-            let dst_base = o * cat_len * inner + cursor * inner;
-            out[dst_base..dst_base + len].copy_from_slice(src);
-            cursor += t.dim(dim);
+            out.extend_from_slice(&part[o * len..(o + 1) * len]);
         }
     }
     Tensor::from_vec(out, out_dims)

@@ -3,11 +3,39 @@
 //! Shape validation and tensor plumbing live here; the raw loops are
 //! dispatched through the active [`crate::backend::Kernels`] backend —
 //! the naive i-k-j reference or the tiled default, bit-identical either
-//! way. Small products stay on the sequential path inside the kernels to
-//! avoid thread overhead.
+//! way. Operands reach the kernels as strided [`MatRef`] views, so a
+//! transposed or narrowed tensor is read in place rather than copied.
+//! Small products stay on the sequential path inside the kernels to avoid
+//! thread overhead.
 
-use crate::backend::{self, KernelClass};
+use crate::backend::{self, KernelClass, MatRef};
 use crate::{Result, Tensor, TensorError};
+use std::borrow::Cow;
+
+/// `t` itself when its last two dims are row-major (`col_stride == 1`,
+/// narrowed rows included) or column-major (`row_stride == 1`) — the
+/// layouts the GEMM packers read in place — otherwise a contiguous copy.
+fn gemm_operand(t: &Tensor) -> Cow<'_, Tensor> {
+    let s = &t.strides()[t.rank() - 2..];
+    if s[0] == 1 || s[1] == 1 {
+        Cow::Borrowed(t)
+    } else {
+        Cow::Owned(t.contiguous())
+    }
+}
+
+/// The kernel view of a rank-2 or rank-3 tensor (rank 2: batch stride 0).
+fn mat_ref(t: &Tensor) -> MatRef<'_> {
+    let s = t.strides();
+    let r = t.rank();
+    MatRef {
+        data: t.storage().as_slice(),
+        offset: t.storage_offset(),
+        row_stride: s[r - 2],
+        col_stride: s[r - 1],
+        batch_stride: if r == 3 { s[0] } else { 0 },
+    }
+}
 
 /// `C[m,n] = A[m,k] @ B[k,n]`.
 pub fn matmul(a: &Tensor, b: &Tensor) -> Result<Tensor> {
@@ -26,19 +54,17 @@ pub fn matmul(a: &Tensor, b: &Tensor) -> Result<Tensor> {
             rhs: b.dims().to_vec(),
         });
     }
-    let ac = a.contiguous();
-    let bc = b.contiguous();
-    let av = ac.as_slice().expect("contiguous");
-    let bv = bc.as_slice().expect("contiguous");
+    let (a, b) = (gemm_operand(a), gemm_operand(b));
     let mut out = vec![0.0f32; m * n];
     backend::timed(KernelClass::Gemm, || {
-        backend::kernels().matmul(av, bv, &mut out, m, k, n)
+        backend::kernels().matmul(mat_ref(&a), mat_ref(&b), &mut out, m, k, n)
     });
     Tensor::from_vec(out, [m, n])
 }
 
 /// Batched matmul: `C[b,m,n] = A[b,m,k] @ B[b,k,n]`.
-/// `B` may also be rank-2 `[k,n]`, shared across the batch.
+/// `B` may also be rank-2 `[k,n]`, shared across the batch: that product
+/// is one GEMM over the batch's `[b·m, k]` rows.
 pub fn bmm(a: &Tensor, b: &Tensor) -> Result<Tensor> {
     if a.rank() != 3 {
         return Err(TensorError::Invalid {
@@ -66,14 +92,23 @@ pub fn bmm(a: &Tensor, b: &Tensor) -> Result<Tensor> {
             rhs: b.dims().to_vec(),
         });
     }
-    let ac = a.contiguous();
-    let bc = b.contiguous();
-    let av = ac.as_slice().expect("contiguous");
-    let bv = bc.as_slice().expect("contiguous");
+    let (mut a, b) = (gemm_operand(a), gemm_operand(b));
     let mut out = vec![0.0f32; bs * m * n];
-    backend::timed(KernelClass::Gemm, || {
-        backend::kernels().bmm(av, bv, &mut out, bs, m, k, n, shared_rhs)
-    });
+    if shared_rhs {
+        // Rows are independent and each keeps its k-order, so the batch's
+        // rows form one `[bs·m, k]` matrix — a reshape when matrix `i + 1`
+        // starts `m` rows after matrix `i`, a gather otherwise.
+        if bs > 1 && a.strides()[0] != m * a.strides()[1] {
+            a = Cow::Owned(a.contiguous());
+        }
+        backend::timed(KernelClass::Gemm, || {
+            backend::kernels().matmul(mat_ref(&a), mat_ref(&b), &mut out, bs * m, k, n)
+        });
+    } else {
+        backend::timed(KernelClass::Gemm, || {
+            backend::kernels().bmm(mat_ref(&a), mat_ref(&b), &mut out, bs, m, k, n)
+        });
+    }
     Tensor::from_vec(out, [bs, m, n])
 }
 
@@ -182,22 +217,8 @@ mod tests {
         let (m, k, n) = (45, 70, 19);
         let mut r = vec![0.0f32; m * n];
         let mut t = vec![0.0f32; m * n];
-        kernels_for(BackendKind::Reference).matmul(
-            a.as_slice().unwrap(),
-            b.as_slice().unwrap(),
-            &mut r,
-            m,
-            k,
-            n,
-        );
-        kernels_for(BackendKind::Tiled).matmul(
-            a.as_slice().unwrap(),
-            b.as_slice().unwrap(),
-            &mut t,
-            m,
-            k,
-            n,
-        );
+        kernels_for(BackendKind::Reference).matmul(mat_ref(&a), mat_ref(&b), &mut r, m, k, n);
+        kernels_for(BackendKind::Tiled).matmul(mat_ref(&a), mat_ref(&b), &mut t, m, k, n);
         let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
         assert_eq!(bits(&r), bits(&t));
     }
@@ -217,6 +238,45 @@ mod tests {
         let b = Tensor::from_vec(vec![1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0, 8.0], [2, 2, 2]).unwrap();
         let c = bmm(&a, &b).unwrap();
         assert_eq!(c.to_vec(), vec![1.0, 2.0, 3.0, 4.0, 10.0, 12.0, 14.0, 16.0]);
+    }
+
+    #[test]
+    fn strided_views_multiply_like_their_contiguous_copies() {
+        let bits = |t: &Tensor| t.to_vec().iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        let mut rng = crate::random::rng_from_seed(12);
+        let x = crate::random::uniform([3, 40, 30], -1.0, 1.0, &mut rng);
+        let w = crate::random::uniform([30, 20], -1.0, 1.0, &mut rng);
+        let per = crate::random::uniform([3, 20, 40], -1.0, 1.0, &mut rng);
+        // Aᵀ (column-major), narrowed rows (row stride > cols), and a
+        // permuted view that is neither row- nor column-major.
+        let at = x.transpose(1, 2).unwrap(); // [3, 30, 40]
+        let narrowed = x.narrow(2, 5, 20).unwrap(); // [3, 40, 20]
+        let odd = x.permute(&[2, 0, 1]).unwrap(); // [30, 3, 40]
+        let x0 = x.select(0, 0).unwrap(); // [40, 30]
+        let cases = [
+            (at.clone(), x0.clone()),           // shared rhs, Aᵀ lhs gathered
+            (narrowed.clone(), w.t().unwrap()), // shared Bᵀ, rows reshaped
+            (narrowed, per.clone()),            // per-batch rhs
+            (at, per.transpose(1, 2).unwrap()), // per-batch Aᵀ and Bᵀ
+            (odd, x0),                          // lhs gathered
+        ];
+        for (a, b) in cases {
+            let got = bmm(&a, &b).unwrap();
+            let want = bmm(&a.contiguous(), &b.contiguous()).unwrap();
+            assert_eq!(
+                bits(&got),
+                bits(&want),
+                "{:?} @ {:?}",
+                a.strides(),
+                b.strides()
+            );
+        }
+        let wt = w.t().unwrap(); // [20, 30]
+        let xt = x.select(0, 1).unwrap().t().unwrap(); // [30, 40]
+        assert_eq!(
+            bits(&matmul(&wt, &xt).unwrap()),
+            bits(&matmul(&wt.contiguous(), &xt.contiguous()).unwrap())
+        );
     }
 
     #[test]

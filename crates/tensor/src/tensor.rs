@@ -201,18 +201,45 @@ impl Tensor {
         if !self.is_contiguous() {
             return Err(TensorError::NotContiguous { op: "as_slice" });
         }
+        if self.numel() == 0 {
+            // An empty view's offset may point past the end of its storage
+            // (e.g. narrowing a zero-size tensor at a nonzero start).
+            return Ok(&[]);
+        }
         Ok(&self.storage.as_slice()[self.offset..self.offset + self.numel()])
     }
 
     /// Copy this tensor's elements into a fresh `Vec` in row-major order.
+    ///
+    /// A strided view is copied run by run: the innermost dims whose
+    /// elements are evenly spaced form one run, copied as one slice when
+    /// the spacing is 1 and by a tight strided loop otherwise; only the
+    /// dims outside the run are walked by index.
     pub fn to_vec(&self) -> Vec<f32> {
         if let Ok(s) = self.as_slice() {
             return s.to_vec();
         }
-        let mut out = Vec::with_capacity(self.numel());
+        let numel = self.numel();
+        let mut out = Vec::with_capacity(numel);
+        if numel == 0 {
+            return out;
+        }
+        let (dims, strides) = (self.dims(), &self.strides);
+        // Rank >= 1 here: a rank-0 tensor is always contiguous.
+        let mut outer = dims.len() - 1;
+        let step = strides[outer];
+        let mut run = dims[outer];
+        while outer > 0 && (dims[outer - 1] == 1 || strides[outer - 1] == run * step) {
+            outer -= 1;
+            run *= dims[outer];
+        }
         let data = self.storage.as_slice();
-        for_each_offset(self.dims(), &self.strides, self.offset, |o| {
-            out.push(data[o]);
+        for_each_offset(&dims[..outer], &strides[..outer], self.offset, |o| {
+            if step == 1 {
+                out.extend_from_slice(&data[o..o + run]);
+            } else {
+                out.extend((0..run).map(|j| data[o + j * step]));
+            }
         });
         out
     }
