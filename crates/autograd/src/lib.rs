@@ -9,6 +9,13 @@
 //! (`Rc`-based) — each distributed worker builds its own tape per step, which
 //! mirrors DDP's per-replica autograd graphs.
 //!
+//! Gradient retention: [`Tape::backward`] returns only the **leaf**
+//! gradients (parameters, constants and inputs). An intermediate node's
+//! gradient is freed as soon as its backward closure has run, so peak
+//! memory during backward is the forward activations plus the gradients
+//! still in flight, not a second copy of the graph. [`Gradients::get`] is
+//! therefore leaf-only; it returns `None` for an intermediate var.
+//!
 //! Crates above this one (`st-models`) add domain ops — e.g. sparse diffusion
 //! convolution — through [`Tape::custom_op`] without touching this crate.
 

@@ -136,12 +136,10 @@ impl Tape {
             let inner = self.inner.borrow();
             if let Some((_, id)) = inner.params.iter().find(|(q, _)| q.key() == key) {
                 let id = *id;
-                let shape = inner.nodes[id].shape.clone();
                 drop(inner);
                 // Rebuild the Var handle for the existing leaf. The value
                 // snapshot is the parameter's current value (unchanged
                 // within a step).
-                let _ = shape;
                 return Var {
                     id,
                     value: p.value(),
@@ -235,12 +233,20 @@ impl Tape {
     }
 
     /// Run reverse-mode differentiation from `root` (a scalar, typically a
-    /// loss). Returns per-node gradients.
+    /// loss). Returns the gradients of the **leaves** (parameters,
+    /// constants and inputs).
     ///
     /// Gradients finalize in descending node-id order (the reverse scan
     /// below); [`Tape::param_completion_order`] exposes that sequence for
     /// the bound parameters so gradient buckets can fire as soon as their
     /// last member completes rather than after the whole backward.
+    ///
+    /// An intermediate node's gradient is dropped as soon as its backward
+    /// closure has produced the parents' contributions, so the scan holds
+    /// only the gradients still in flight, not one per node. It is dropped
+    /// before those contributions are accumulated: a contribution that
+    /// shares its buffer with it (an `add` passes its gradient through)
+    /// is then owned once, and the in-place accumulate reuses it.
     pub fn backward(&self, root: &Var) -> Gradients {
         assert!(
             Rc::ptr_eq(&root.tape.inner, &self.inner),
@@ -258,14 +264,17 @@ impl Tape {
         for id in (0..=root.id).rev() {
             let Some(g) = grads[id].take() else { continue };
             let node = &inner.nodes[id];
-            if let Some(backward) = &node.backward {
-                let parent_grads = backward(&g);
-                debug_assert_eq!(parent_grads.len(), node.parents.len());
-                for (pid, pg) in node.parents.iter().zip(parent_grads) {
-                    accumulate(&mut grads[*pid], pg);
-                }
+            let Some(backward) = &node.backward else {
+                // A leaf: its gradient is a result.
+                grads[id] = Some(g);
+                continue;
+            };
+            let parent_grads = backward(&g);
+            drop(g);
+            debug_assert_eq!(parent_grads.len(), node.parents.len());
+            for (pid, pg) in node.parents.iter().zip(parent_grads) {
+                accumulate(&mut grads[*pid], pg);
             }
-            grads[id] = Some(g);
         }
         Gradients { grads }
     }
@@ -285,13 +294,16 @@ fn accumulate(slot: &mut Option<Tensor>, g: Tensor) {
     }
 }
 
-/// Gradients produced by [`Tape::backward`], indexed by node id.
+/// Leaf gradients produced by [`Tape::backward`], indexed by node id.
 pub struct Gradients {
     grads: Vec<Option<Tensor>>,
 }
 
 impl Gradients {
-    /// Gradient of the root w.r.t. `var`, if any gradient flowed to it.
+    /// Gradient of the root w.r.t. the leaf `var` (a parameter, constant or
+    /// input), if any gradient flowed to it. Leaf-only: an intermediate
+    /// var's gradient is released during the backward pass, so this
+    /// returns `None` for it.
     pub fn get(&self, var: &Var) -> Option<&Tensor> {
         self.grads.get(var.id).and_then(|g| g.as_ref())
     }
@@ -301,7 +313,8 @@ impl Gradients {
         self.grads.get(id).and_then(|g| g.as_ref())
     }
 
-    /// Gradient for `var`, or a zero tensor of its shape.
+    /// Gradient for the leaf `var`, or a zero tensor of its shape (see
+    /// [`Gradients::get`]).
     pub fn get_or_zeros(&self, var: &Var) -> Tensor {
         self.get(var)
             .cloned()
@@ -438,6 +451,45 @@ mod tests {
         // Re-binding is idempotent: the order is stable.
         let _ = tape.param(&a);
         assert_eq!(tape.param_completion_order().len(), 2);
+    }
+
+    #[test]
+    fn backward_keeps_only_leaf_gradients() {
+        // h ← 2h + h⊙w, eight times: every step feeds h to two consumers,
+        // so gradients accumulate. With w = 1 every value is an integer
+        // below 2^24, so the expected gradients are exact:
+        // dL/dx = 3^8 and dL/dw = 8·x·3^7.
+        let depth = 8;
+        let tape = Tape::new();
+        let w = crate::module::Param::new("w", Tensor::from_slice(&[1.0, 1.0, 1.0]));
+        let wv = tape.param(&w);
+        let x = tape.leaf(Tensor::from_slice(&[1.0, 2.0, 3.0]));
+        let mut h = x.clone();
+        let mut intermediates = Vec::new();
+        for _ in 0..depth {
+            h = ops::add(&ops::mul_scalar(&h, 2.0), &ops::mul(&h, &wv));
+            intermediates.push(h.clone());
+        }
+        let y = ops::sum_all(&h);
+        let g = tape.backward(&y);
+        let bits = |t: &Tensor| t.to_vec().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        let pow3 = |e: i32| 3f32.powi(e);
+        let want_x = vec![pow3(depth); 3];
+        let want_w: Vec<f32> = [1.0f32, 2.0, 3.0]
+            .iter()
+            .map(|xv| depth as f32 * xv * pow3(depth - 1))
+            .collect();
+        assert_eq!(bits(g.get(&x).unwrap()), bits(&Tensor::from_slice(&want_x)));
+        assert_eq!(
+            bits(g.get(&wv).unwrap()),
+            bits(&Tensor::from_slice(&want_w))
+        );
+        for v in intermediates.iter().chain([&y]) {
+            assert!(g.get(v).is_none(), "node {} is not a leaf", v.id());
+        }
+        // Of the whole chain's slots, only the two leaves stay filled.
+        assert_eq!(tape.len(), 3 * depth as usize + 3);
+        assert_eq!(g.grads.iter().filter(|s| s.is_some()).count(), 2);
     }
 
     #[test]

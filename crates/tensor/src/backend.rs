@@ -23,6 +23,16 @@
 //! (`tests/proptests_kernels.rs`) pins the contract across ragged shapes
 //! and operand layouts; DESIGN.md §8 documents the reasoning.
 //!
+//! # Micro-kernels
+//!
+//! The tiled GEMM computes `MR×NR = 4×16` register tiles. On x86-64 CPUs
+//! with AVX2 (detected at run time) the tile lives in eight independent
+//! 8-lane accumulators and each `k` step is separate `_mm256_mul_ps` /
+//! `_mm256_add_ps` intrinsics — never FMA — so every element keeps the
+//! reference's rounding sequence. Elsewhere a portable loop computes the
+//! same tile. [`micro_kernel`] names the path that runs; there is no knob
+//! to choose it. The AVX2 module holds this crate's only `unsafe`.
+//!
 //! # Selection
 //!
 //! The active backend is a process-wide choice: [`set_backend`] /
@@ -462,8 +472,9 @@ fn naive_row_kernel(a: MatRef<'_>, i: usize, b: MatRef<'_>, row: &mut [f32], k: 
 
 /// Rows per register micro-tile.
 pub const MR: usize = 4;
-/// Columns per packed B panel (and per register micro-tile).
-pub const NR: usize = 8;
+/// Columns per packed B panel (and per register micro-tile): two 8-lane
+/// AVX2 registers.
+pub const NR: usize = 16;
 
 /// Products smaller than this many scalar ops take the naive kernel —
 /// packing overhead only pays off once the B panel is re-streamed across
@@ -477,7 +488,9 @@ const TILE_MIN_WORK: usize = 16 * 1024;
 /// micro-tile keeps its partial sums in registers across the whole `k`
 /// loop, so `C` is written once instead of being re-loaded per `k` step,
 /// and `B`'s traffic drops by `MR×`. The `k` loop is never split or
-/// reassociated — see the module docs for the bitwise contract.
+/// reassociated — see the module docs for the bitwise contract. The
+/// micro-kernel is chosen per call: AVX2 intrinsics when the CPU has them,
+/// a portable loop otherwise ([`micro_kernel`]).
 pub struct Tiled;
 
 impl Kernels for Tiled {
@@ -636,13 +649,46 @@ fn tiled_rows_parallel(
     .expect("tiled matmul worker panicked");
 }
 
+/// The tiled GEMM's register micro-kernel on this CPU: `"avx2"` when the
+/// AVX2 intrinsics path runs, `"portable"` otherwise (non-x86 hosts and
+/// x86 hosts without AVX2). Both paths are bitwise identical; benches
+/// report the name so a timing says which one it measured.
+pub fn micro_kernel() -> &'static str {
+    #[cfg(target_arch = "x86_64")]
+    if avx2::detected() {
+        return "avx2";
+    }
+    "portable"
+}
+
 /// Sequential tiled GEMM body: `out[m,n] = a[m,k] @ B` where `B` was packed
-/// by [`pack_b`]. Each `MR`-row block of `A` is repacked `l`-major
-/// (`apack[l*MR + r] = a[i + r, l]`, zero-padded lanes past `m`) so the
-/// micro-kernel streams both operands contiguously; the pack cost is repaid
-/// `n/NR` times over as the block sweeps the panels. A column-major `A`
-/// (a transposed view) fills each lane with one contiguous `MR`-float read.
+/// by [`pack_b`], on the AVX2 micro-kernel when the CPU has it and on the
+/// portable one otherwise.
 fn tiled_rows(a: MatRef<'_>, packed: &[f32], out: &mut [f32], m: usize, k: usize, n: usize) {
+    #[cfg(target_arch = "x86_64")]
+    if avx2::tiled_rows(a, packed, out, m, k, n) {
+        return;
+    }
+    tiled_rows_with(a, packed, out, m, k, n, micro);
+}
+
+/// The tiled GEMM loop around a micro-kernel. Each `MR`-row block of `A`
+/// is repacked `l`-major (`apack[l*MR + r] = a[i + r, l]`, zero-padded
+/// lanes past `m`) so the micro-kernel streams both operands contiguously;
+/// the pack cost is repaid `n/NR` times over as the block sweeps the
+/// panels. A column-major `A` (a transposed view) fills each lane with one
+/// contiguous `MR`-float read. Always inlined, so a caller compiled with
+/// wider target features compiles the whole loop with them.
+#[inline(always)]
+fn tiled_rows_with(
+    a: MatRef<'_>,
+    packed: &[f32],
+    out: &mut [f32],
+    m: usize,
+    k: usize,
+    n: usize,
+    micro: impl Fn(&[f32], &[f32], &mut [f32], usize, usize, usize),
+) {
     let panels = n.div_ceil(NR);
     let mut apack = vec![0.0f32; k * MR];
     let mut i = 0;
@@ -683,10 +729,10 @@ fn tiled_rows(a: MatRef<'_>, packed: &[f32], out: &mut [f32], m: usize, k: usize
     }
 }
 
-/// The `MR×NR` register micro-kernel: partial sums stay in registers across
-/// the whole `k` loop (ascending, `mul` then `add` — never FMA), then spill
-/// to `out` once. Always computes the full tile; ragged edges only narrow
-/// the store.
+/// The portable `MR×NR` register micro-kernel: partial sums stay in
+/// registers across the whole `k` loop (ascending, `mul` then `add` —
+/// never FMA), then spill to `out` once. Always computes the full tile;
+/// ragged edges only narrow the store.
 #[inline]
 fn micro(apack: &[f32], panel: &[f32], out: &mut [f32], ldc: usize, rows: usize, cols: usize) {
     let mut acc = [[0.0f32; NR]; MR];
@@ -701,6 +747,124 @@ fn micro(apack: &[f32], panel: &[f32], out: &mut [f32], ldc: usize, rows: usize,
     }
     for (r, accr) in acc.iter().enumerate().take(rows) {
         out[r * ldc..r * ldc + cols].copy_from_slice(&accr[..cols]);
+    }
+}
+
+/// The AVX2 micro-kernel: the same `MR×NR` tile in eight independent
+/// 8-lane accumulators (4 rows × two halves), so each `k` step issues
+/// eight independent mul/add chains instead of waiting on the add latency
+/// of a few. Separate `_mm256_mul_ps` and `_mm256_add_ps` round exactly like
+/// the scalar `acc += a * b` — one rounding per multiply and one per add,
+/// in ascending `k` — so the bits match [`Reference`]; FMA (one rounding)
+/// would not.
+#[cfg(target_arch = "x86_64")]
+mod avx2 {
+    use super::{tiled_rows_with, MatRef, MR, NR};
+    use std::arch::x86_64::{
+        __m256, _mm256_add_ps, _mm256_loadu_ps, _mm256_mul_ps, _mm256_set1_ps, _mm256_setzero_ps,
+        _mm256_storeu_ps,
+    };
+
+    /// True when the running CPU supports AVX2 (cached by std after the
+    /// first query).
+    pub(super) fn detected() -> bool {
+        std::arch::is_x86_feature_detected!("avx2")
+    }
+
+    /// Run the tiled GEMM loop on the AVX2 micro-kernel and return true,
+    /// or return false without touching `out` when the CPU lacks AVX2.
+    pub(super) fn tiled_rows(
+        a: MatRef<'_>,
+        packed: &[f32],
+        out: &mut [f32],
+        m: usize,
+        k: usize,
+        n: usize,
+    ) -> bool {
+        if !detected() {
+            return false;
+        }
+        // SAFETY: the CPU supports AVX2, checked just above.
+        unsafe { tiled_rows_avx2(a, packed, out, m, k, n) };
+        true
+    }
+
+    /// [`tiled_rows_with`] compiled with AVX2 enabled, so the micro-kernel
+    /// inlines into the panel loop.
+    #[target_feature(enable = "avx2")]
+    fn tiled_rows_avx2(
+        a: MatRef<'_>,
+        packed: &[f32],
+        out: &mut [f32],
+        m: usize,
+        k: usize,
+        n: usize,
+    ) {
+        // A closure, not `micro` itself: a `#[target_feature]` fn does not
+        // implement `Fn`. The closure inherits AVX2 from this function.
+        tiled_rows_with(
+            a,
+            packed,
+            out,
+            m,
+            k,
+            n,
+            |apack, panel, out, ldc, rows, cols| micro(apack, panel, out, ldc, rows, cols),
+        );
+    }
+
+    #[target_feature(enable = "avx2")]
+    #[inline]
+    fn micro(apack: &[f32], panel: &[f32], out: &mut [f32], ldc: usize, rows: usize, cols: usize) {
+        let k = apack.len() / MR;
+        assert!(
+            apack.len() == k * MR && panel.len() == k * NR,
+            "packed operands must hold k = {k} whole lanes"
+        );
+        let mut acc = [[_mm256_setzero_ps(); 2]; MR];
+        for (al, bl) in apack.chunks_exact(MR).zip(panel.chunks_exact(NR)) {
+            // SAFETY: `bl` is an `NR` = 16-float chunk, so both 8-lane
+            // loads read inside it.
+            let (b0, b1) = unsafe {
+                (
+                    _mm256_loadu_ps(bl.as_ptr()),
+                    _mm256_loadu_ps(bl.as_ptr().add(8)),
+                )
+            };
+            for (accr, &av) in acc.iter_mut().zip(al) {
+                let av = _mm256_set1_ps(av);
+                accr[0] = _mm256_add_ps(accr[0], _mm256_mul_ps(av, b0));
+                accr[1] = _mm256_add_ps(accr[1], _mm256_mul_ps(av, b1));
+            }
+        }
+        if rows == MR && cols == NR {
+            for (r, accr) in acc.iter().enumerate() {
+                let dst = &mut out[r * ldc..r * ldc + NR];
+                store(dst, accr);
+            }
+        } else {
+            // Ragged edge: spill the whole tile, store only its live part.
+            let mut tile = [[0.0f32; NR]; MR];
+            for (t, accr) in tile.iter_mut().zip(&acc) {
+                store(t, accr);
+            }
+            for (r, t) in tile.iter().enumerate().take(rows) {
+                out[r * ldc..r * ldc + cols].copy_from_slice(&t[..cols]);
+            }
+        }
+    }
+
+    /// Store one tile row (two 8-lane halves) into the `NR` floats of `dst`.
+    #[target_feature(enable = "avx2")]
+    #[inline]
+    fn store(dst: &mut [f32], acc: &[__m256; 2]) {
+        assert_eq!(dst.len(), NR);
+        // SAFETY: `dst` holds exactly `NR` = 16 floats, so both 8-lane
+        // stores write inside it.
+        unsafe {
+            _mm256_storeu_ps(dst.as_mut_ptr(), acc[0]);
+            _mm256_storeu_ps(dst.as_mut_ptr().add(8), acc[1]);
+        }
     }
 }
 
@@ -738,6 +902,106 @@ mod tests {
                 assert_eq!(x.to_bits(), y.to_bits(), "({m},{k},{n}) elem {i}");
             }
         }
+    }
+
+    /// A whole tiled GEMM on one named micro-kernel path, bypassing the
+    /// small-product fallback and the run-time dispatch. `None` when this
+    /// CPU cannot run the path.
+    fn tiled_on(
+        path: &str,
+        a: MatRef<'_>,
+        b: MatRef<'_>,
+        m: usize,
+        k: usize,
+        n: usize,
+    ) -> Option<Vec<f32>> {
+        let packed = pack_b(b, k, n);
+        let mut out = vec![0.0f32; m * n];
+        match path {
+            "portable" => tiled_rows_with(a, &packed, &mut out, m, k, n, micro),
+            #[cfg(target_arch = "x86_64")]
+            "avx2" => {
+                if !avx2::tiled_rows(a, &packed, &mut out, m, k, n) {
+                    return None;
+                }
+            }
+            _ => return None,
+        }
+        Some(out)
+    }
+
+    /// `[rows, cols]` values stored row-major (`transposed == false`) or as
+    /// the column-major view of row-major `[cols, rows]` storage.
+    fn operand(data: &[f32], rows: usize, cols: usize, transposed: bool) -> MatRef<'_> {
+        if transposed {
+            MatRef::col_major(data, rows, cols)
+        } else {
+            MatRef::row_major(data, rows, cols)
+        }
+    }
+
+    /// Poison for [`every_micro_kernel_path_is_bitwise_reference`]. Each
+    /// case keeps a single NaN payload per sum: when two NaNs with
+    /// different payloads meet in one add, IEEE 754 leaves which survives
+    /// to operand order, which Rust does not pin. `Inf` produces only the
+    /// default NaN (`0 × Inf`, `Inf − Inf`); `Nan` injects only `f32::NAN`.
+    #[derive(Debug, Clone, Copy)]
+    enum Poison {
+        Finite,
+        Inf,
+        Nan,
+    }
+
+    #[test]
+    fn every_micro_kernel_path_is_bitwise_reference() {
+        let mut ran = std::collections::BTreeSet::new();
+        // Ragged m % MR and n % NR, k ∈ {0, 1, odd}; row-major, Aᵀ and Bᵀ
+        // operands.
+        for m in [1, 2, 3, 4, 5, 7, 9] {
+            for n in [1, 8, 15, 16, 17, 33] {
+                for k in [0, 1, 7, 33] {
+                    for poison in [Poison::Finite, Poison::Inf, Poison::Nan] {
+                        let mut av = fill(m * k, (m * 31 + k) as u32);
+                        let mut bv = fill(k * n, (n * 17 + k) as u32);
+                        match poison {
+                            _ if k == 0 => {}
+                            Poison::Finite => {}
+                            Poison::Inf => {
+                                av[0] = 0.0;
+                                bv[0] = f32::INFINITY;
+                                av[(m * k) / 2] = f32::NEG_INFINITY;
+                                av[m * k - 1] = f32::INFINITY;
+                            }
+                            Poison::Nan => {
+                                av[(m * k) / 2] = f32::NAN;
+                                bv[k * n - 1] = f32::NAN;
+                            }
+                        }
+                        for (at, bt) in [(false, false), (true, false), (false, true)] {
+                            let a = operand(&av, m, k, at);
+                            let b = operand(&bv, k, n, bt);
+                            let mut want = vec![0.0f32; m * n];
+                            Reference.matmul(a, b, &mut want, m, k, n);
+                            for path in ["portable", "avx2"] {
+                                let Some(got) = tiled_on(path, a, b, m, k, n) else {
+                                    continue;
+                                };
+                                ran.insert(path);
+                                for (i, (x, y)) in want.iter().zip(&got).enumerate() {
+                                    assert_eq!(
+                                        x.to_bits(),
+                                        y.to_bits(),
+                                        "{path} ({m},{k},{n}) aT={at} bT={bt} {poison:?} elem {i}"
+                                    );
+                                }
+                            }
+                        }
+                    }
+                }
+            }
+        }
+        assert!(ran.contains("portable"));
+        assert_eq!(ran.contains("avx2"), micro_kernel() == "avx2");
     }
 
     #[test]
