@@ -19,11 +19,11 @@
 
 use pgt_index::baseline_ddp::run_baseline_ddp;
 use pgt_index::gen_dist_index::run_generalized;
-use pgt_index::{DistConfig, DistRunResult};
+use pgt_index::workflow::pgt_dcrnn;
+use pgt_index::{DistConfig, EngineReport};
 use st_data::datasets::{DatasetKind, DatasetSpec};
 use st_data::synthetic;
-use st_graph::diffusion_supports;
-use st_models::{ModelConfig, PgtDcrnn, Seq2Seq, Support};
+use st_models::Seq2Seq;
 use st_report::table::Table;
 
 struct Row {
@@ -37,7 +37,7 @@ struct Row {
     speedup: f64,
 }
 
-fn hidden_secs(r: &DistRunResult) -> f64 {
+fn hidden_secs(r: &EngineReport) -> f64 {
     r.epochs.iter().map(|e| e.hidden_comm_secs).sum()
 }
 
@@ -46,19 +46,7 @@ fn main() {
     let epochs = if smoke { 1 } else { 2 };
     let spec = DatasetSpec::get(DatasetKind::PemsBay).scaled(st_bench::DIST_SCALE);
     let sig = synthetic::generate(&spec, st_bench::SEED);
-    let factory = |features: usize| {
-        let supports = Support::wrap_all(diffusion_supports(&sig.adjacency, 2));
-        let mc = ModelConfig {
-            input_dim: features,
-            output_dim: 1,
-            hidden: 8,
-            num_nodes: sig.num_nodes(),
-            horizon: spec.horizon,
-            diffusion_steps: 2,
-            layers: 1,
-        };
-        PgtDcrnn::new(mc, &supports, st_bench::SEED)
-    };
+    let factory = |features: usize| pgt_dcrnn(&sig, features, spec.horizon, 8, st_bench::SEED);
 
     let caps: &[usize] = if smoke {
         &[4 << 10]
@@ -67,7 +55,7 @@ fn main() {
     };
     let worlds: &[usize] = &[2, 4];
 
-    let run = |plane: &'static str, cfg: &DistConfig| -> DistRunResult {
+    let run = |plane: &'static str, cfg: &DistConfig| -> EngineReport {
         match plane {
             "baseline_ddp" => {
                 run_baseline_ddp(&sig, cfg, |_| Box::new(factory(1)) as Box<dyn Seq2Seq>)

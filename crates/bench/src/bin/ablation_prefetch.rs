@@ -11,31 +11,19 @@
 
 use pgt_index::baseline_ddp::run_baseline_ddp;
 use pgt_index::gen_dist_index::run_generalized;
+use pgt_index::workflow::pgt_dcrnn;
 use pgt_index::DistConfig;
 use st_data::datasets::{DatasetKind, DatasetSpec};
 use st_data::synthetic;
 use st_dist::datasvc::{DistributedArray, PartitionPolicy};
 use st_dist::topology::ClusterTopology;
-use st_graph::diffusion_supports;
-use st_models::{ModelConfig, PgtDcrnn, Seq2Seq, Support};
+use st_models::Seq2Seq;
 use st_report::table::Table;
 
 fn main() {
     let spec = DatasetSpec::get(DatasetKind::PemsBay).scaled(st_bench::DIST_SCALE);
     let sig = synthetic::generate(&spec, st_bench::SEED);
-    let factory = |features: usize| {
-        let supports = Support::wrap_all(diffusion_supports(&sig.adjacency, 2));
-        let mc = ModelConfig {
-            input_dim: features,
-            output_dim: 1,
-            hidden: 8,
-            num_nodes: sig.num_nodes(),
-            horizon: spec.horizon,
-            diffusion_steps: 2,
-            layers: 1,
-        };
-        PgtDcrnn::new(mc, &supports, st_bench::SEED)
-    };
+    let factory = |features: usize| pgt_dcrnn(&sig, features, spec.horizon, 8, st_bench::SEED);
 
     // --- prefetch on/off on the measured baseline-DDP runner ---
     let mut table = Table::new(

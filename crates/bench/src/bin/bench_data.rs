@@ -19,47 +19,30 @@
 //! epochs for CI.
 
 use pgt_index::dist_index::run_distributed_index;
-use pgt_index::{DistConfig, DistRunResult, IndexDataset};
+use pgt_index::workflow::{pgt_dcrnn, pgt_dcrnn_factory};
+use pgt_index::{DistConfig, EngineReport, IndexDataset};
 use st_data::datasets::{DatasetKind, DatasetSpec};
 use st_data::splits::SplitRatios;
 use st_data::storage::{ChunkedSpec, StorageSpec};
 use st_data::synthetic;
 use st_dist::wire::WireCodec;
-use st_graph::diffusion_supports;
-use st_models::{ModelConfig, PgtDcrnn, Seq2Seq, Support};
 use st_report::table::Table;
 use std::time::Instant;
-
-fn make_model(
-    sig: &st_data::signal::StaticGraphTemporalSignal,
-    features: usize,
-    horizon: usize,
-) -> Box<dyn Seq2Seq> {
-    let supports = Support::wrap_all(diffusion_supports(&sig.adjacency, 2));
-    let mc = ModelConfig {
-        input_dim: features,
-        output_dim: 1,
-        hidden: 8,
-        num_nodes: sig.num_nodes(),
-        horizon,
-        diffusion_steps: 2,
-        layers: 1,
-    };
-    Box::new(PgtDcrnn::new(mc, &supports, st_bench::SEED))
-}
 
 fn run(
     sig: &st_data::signal::StaticGraphTemporalSignal,
     horizon: usize,
     epochs: usize,
     storage: StorageSpec,
-) -> DistRunResult {
+) -> EngineReport {
     let mut cfg = DistConfig::new(2, epochs, horizon);
     cfg.batch_per_worker = 8;
     cfg.storage = storage;
-    run_distributed_index(sig, &cfg, |ds: &IndexDataset| {
-        make_model(sig, ds.num_features(), horizon)
-    })
+    run_distributed_index(
+        sig,
+        &cfg,
+        pgt_dcrnn_factory(sig, horizon, 8, st_bench::SEED),
+    )
 }
 
 fn run_ddp(
@@ -67,16 +50,22 @@ fn run_ddp(
     horizon: usize,
     epochs: usize,
     wire: WireCodec,
-) -> DistRunResult {
+) -> EngineReport {
     let mut cfg = DistConfig::new(2, epochs, horizon);
     cfg.batch_per_worker = 8;
     cfg.wire_codec = wire;
     pgt_index::baseline_ddp::run_baseline_ddp(sig, &cfg, |_| {
-        make_model(sig, sig.num_features(), horizon)
+        Box::new(pgt_dcrnn(
+            sig,
+            sig.num_features(),
+            horizon,
+            8,
+            st_bench::SEED,
+        ))
     })
 }
 
-fn loss_bits(r: &DistRunResult) -> Vec<(u32, u32)> {
+fn loss_bits(r: &EngineReport) -> Vec<(u32, u32)> {
     r.epochs
         .iter()
         .map(|e| (e.train_loss.to_bits(), e.val_mae.to_bits()))

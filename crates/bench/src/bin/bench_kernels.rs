@@ -26,12 +26,12 @@
 //! for CI.
 
 use pgt_index::dist_index::run_distributed_index;
-use pgt_index::{DistConfig, DistRunResult};
+use pgt_index::workflow::pgt_dcrnn_factory;
+use pgt_index::{DistConfig, EngineReport};
 use st_data::datasets::{DatasetKind, DatasetSpec};
 use st_data::signal::StaticGraphTemporalSignal;
 use st_data::synthetic::{self, traffic};
-use st_graph::{diffusion_supports, generators};
-use st_models::{ModelConfig, PgtDcrnn, Seq2Seq, Support};
+use st_graph::generators;
 use st_report::table::Table;
 use st_tensor::backend::{kernels_for, micro_kernel, Activation, BackendKind, Kernels, MatRef};
 use st_tensor::random::{rng_from_seed, uniform};
@@ -194,22 +194,11 @@ fn e2e_run(
     mut cfg: DistConfig,
     backend: BackendKind,
     hidden: usize,
-) -> (DistRunResult, Vec<u32>) {
+) -> (EngineReport, Vec<u32>) {
     cfg.batch_per_worker = 8;
     cfg.backend = backend;
-    let r = run_distributed_index(sig, &cfg, |ds| {
-        let supports = Support::wrap_all(diffusion_supports(&sig.adjacency, 2));
-        let mc = ModelConfig {
-            input_dim: ds.num_features(),
-            output_dim: 1,
-            hidden,
-            num_nodes: ds.num_nodes(),
-            horizon: ds.horizon(),
-            diffusion_steps: 2,
-            layers: 1,
-        };
-        Box::new(PgtDcrnn::new(mc, &supports, st_bench::SEED)) as Box<dyn Seq2Seq>
-    });
+    let factory = pgt_dcrnn_factory(sig, cfg.horizon, hidden, st_bench::SEED);
+    let r = run_distributed_index(sig, &cfg, factory);
     let bits = r.epochs.iter().map(|e| e.train_loss.to_bits()).collect();
     (r, bits)
 }

@@ -9,12 +9,10 @@
 use pgt_index::baseline_ddp::run_baseline_ddp;
 use pgt_index::dist_index::{run_distributed_index, DistConfig};
 use pgt_index::projection::{project_scaling, project_table4, ProjectionParams};
-use pgt_index::workflow::pgt_dcrnn_factory;
+use pgt_index::workflow::{pgt_dcrnn, pgt_dcrnn_factory};
 use st_bench::{emit_records, minutes};
 use st_data::datasets::{DatasetKind, DatasetSpec};
 use st_data::synthetic;
-use st_graph::diffusion_supports;
-use st_models::{ModelConfig, PgtDcrnn, Support};
 use st_report::record::RecordSet;
 use st_report::table::Table;
 
@@ -74,19 +72,9 @@ fn main() {
     cfg.time_period = Some(small.period);
     let factory = pgt_dcrnn_factory(&sig, small.horizon, 8, st_bench::SEED);
     let index = run_distributed_index(&sig, &cfg, &factory);
-    let ddp = run_baseline_ddp(&sig, &cfg, |view| {
-        let supports = Support::wrap_all(diffusion_supports(&sig.adjacency, 2));
-        let mc = ModelConfig {
-            input_dim: 2,
-            output_dim: 1,
-            hidden: 8,
-            num_nodes: sig.num_nodes(),
-            horizon: small.horizon,
-            diffusion_steps: 2,
-            layers: 1,
-        };
-        let _ = view;
-        Box::new(PgtDcrnn::new(mc, &supports, st_bench::SEED))
+    // Speed plus the time-of-day feature: two input channels.
+    let ddp = run_baseline_ddp(&sig, &cfg, |_| {
+        Box::new(pgt_dcrnn(&sig, 2, small.horizon, 8, st_bench::SEED))
     });
     println!(
         "\nmeasured mini-run (2 workers, scaled PeMS): index comm {:.4}s vs DDP comm {:.4}s \

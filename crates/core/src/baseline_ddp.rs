@@ -12,17 +12,17 @@
 //! [`DistributedArray`] pair whose every fetch is quoted against the
 //! remote-traffic ledger.
 
-use crate::engine::{self, DistDataPlane, EngineOptions, Fetch};
+use crate::engine::{self, DistDataPlane, EngineOptions, EngineReport, Fetch};
 use st_data::preprocess::materialized_xy;
 use st_data::scaler::StandardScaler;
 use st_data::signal::StaticGraphTemporalSignal;
 use st_data::splits::{SplitIndices, SplitRatios};
-use st_data::storage::SignalStorage;
+use st_data::storage::{SignalStorage, StorageSpec};
 use st_dist::datasvc::DistributedArray;
 use st_models::Seq2Seq;
 use st_tensor::Tensor;
 
-use crate::dist_index::{DistConfig, DistRunResult};
+use crate::dist_index::DistConfig;
 use std::sync::Arc;
 
 /// The §5 data plane: a worker-side view of the Dask-distributed `(x, y)`
@@ -38,9 +38,6 @@ pub struct DataSvcPlane {
     seed: u64,
     cost: st_device::CostModel,
 }
-
-/// The pre-engine name for [`DataSvcPlane`], kept for downstream callers.
-pub type DistributedXy = DataSvcPlane;
 
 impl DataSvcPlane {
     /// Rank `rank`'s view over the shared arrays.
@@ -118,29 +115,22 @@ impl DistDataPlane for DataSvcPlane {
 
 /// Run the baseline-DDP workflow (materialized arrays + on-demand fetch).
 ///
-/// Returns the same result type as distributed-index-batching so harnesses
-/// can print them side by side; additionally reports the data-plane bytes
-/// through [`DistRunResult::bytes_moved`] (gradient + sample traffic).
+/// Returns the same report as distributed-index-batching so harnesses can
+/// print them side by side; [`EngineReport::data_plane_bytes`] carries the
+/// sample traffic the local-copy plane never pays.
 pub fn run_baseline_ddp<F>(
     signal: &StaticGraphTemporalSignal,
     cfg: &DistConfig,
     model_factory: F,
-) -> DistRunResult
+) -> EngineReport
 where
     F: Fn(&DataSvcPlane) -> Box<dyn Seq2Seq> + Sync,
 {
     // Materialize once (the paper's baseline preprocesses distributedly;
     // here the shared-process equivalent is a single materialization whose
     // partitions are owned per rank by the data service).
-    let augmented;
-    let sig = match cfg.time_period {
-        Some(p) => {
-            augmented = signal.with_time_feature(p);
-            &augmented
-        }
-        None => signal,
-    };
-    let out = materialized_xy(sig, cfg.horizon, SplitRatios::default());
+    let sig = signal.prepared(cfg.time_period, StorageSpec::InMemory);
+    let out = materialized_xy(&sig, cfg.horizon, SplitRatios::default());
     let scaler = out.scaler;
     let splits = out.splits.clone();
     let elem = 4; // f32 payloads
@@ -179,18 +169,16 @@ where
         |plane: &DataSvcPlane| model_factory(plane),
     )
     .expect("engine run without resume cannot fail")
-    .into_dist_result()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::dist_index::run_distributed_index;
+    use crate::workflow::pgt_dcrnn;
     use st_data::datasets::{DatasetKind, DatasetSpec};
     use st_data::synthetic;
     use st_dist::shuffle::ShuffleStrategy;
-    use st_graph::diffusion_supports;
-    use st_models::{ModelConfig, PgtDcrnn, Support};
 
     fn spec_and_signal() -> (DatasetSpec, StaticGraphTemporalSignal) {
         let spec = DatasetSpec::get(DatasetKind::ChickenpoxHungary).scaled(0.35);
@@ -203,17 +191,7 @@ mod tests {
         features: usize,
         horizon: usize,
     ) -> Box<dyn Seq2Seq> {
-        let supports = Support::wrap_all(diffusion_supports(&sig.adjacency, 2));
-        let mc = ModelConfig {
-            input_dim: features,
-            output_dim: 1,
-            hidden: 8,
-            num_nodes: sig.num_nodes(),
-            horizon,
-            diffusion_steps: 2,
-            layers: 1,
-        };
-        Box::new(PgtDcrnn::new(mc, &supports, 42))
+        Box::new(pgt_dcrnn(sig, features, horizon, 8, 42))
     }
 
     #[test]

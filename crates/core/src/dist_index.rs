@@ -7,7 +7,7 @@
 //! DDP gradient all-reduce (plus tiny metric reductions), which is exactly
 //! the property that separates the right panel of Fig. 7 from the left.
 
-use crate::engine::{self, DistDataPlane, EngineOptions, Fetch};
+use crate::engine::{self, DistDataPlane, EngineOptions, EngineReport, Fetch};
 use crate::index_batching::IndexDataset;
 use st_data::signal::StaticGraphTemporalSignal;
 use st_data::splits::SplitRatios;
@@ -21,7 +21,8 @@ use st_models::Seq2Seq;
 /// Configuration of a distributed training run.
 #[derive(Debug, Clone)]
 pub struct DistConfig {
-    /// Number of workers (simulated GPUs).
+    /// Number of workers (simulated GPUs); for the partitioned runner, the
+    /// number of graph partitions.
     pub world: usize,
     /// Training epochs.
     pub epochs: usize,
@@ -179,37 +180,6 @@ pub struct DistEpochStats {
     pub kernel_split: st_device::KernelSplit,
 }
 
-/// Result of a distributed run.
-#[derive(Debug, Clone)]
-pub struct DistRunResult {
-    /// Per-epoch stats.
-    pub epochs: Vec<DistEpochStats>,
-    /// Simulated compute seconds (rank 0).
-    pub sim_compute_secs: f64,
-    /// Simulated communication seconds (rank 0).
-    pub sim_comm_secs: f64,
-    /// Total simulated seconds (rank 0).
-    pub sim_total_secs: f64,
-    /// Total collective payload bytes moved.
-    pub bytes_moved: u64,
-    /// Sample-data bytes moved between workers (the data plane). Zero for
-    /// distributed-index-batching (every worker holds a full local copy);
-    /// the dominant term for baseline DDP — the crux of Fig. 7.
-    pub data_plane_bytes: u64,
-    /// Wall-clock seconds of the whole run.
-    pub wall_secs: f64,
-}
-
-impl DistRunResult {
-    /// Best validation MAE over epochs.
-    pub fn best_val_mae(&self) -> f32 {
-        self.epochs
-            .iter()
-            .map(|e| e.val_mae)
-            .fold(f32::INFINITY, f32::min)
-    }
-}
-
 /// The §4.2 data plane: every worker holds a **full local copy** of the
 /// index-batched dataset, so epoch plans come from communication-free
 /// shared-seed shuffles and fetches are free local views.
@@ -235,15 +205,13 @@ impl LocalCopyPlane {
         rank: usize,
         cm: &CostModel,
     ) -> Self {
-        let sig;
-        let signal = if cfg.storage.is_chunked() && !signal.is_chunked() {
-            sig = signal.rechunk(cfg.storage);
-            &sig
-        } else {
-            signal
-        };
-        let ds =
-            IndexDataset::from_signal(signal, cfg.horizon, SplitRatios::default(), cfg.time_period);
+        let signal = signal.prepared(None, cfg.storage);
+        let ds = IndexDataset::from_signal(
+            &signal,
+            cfg.horizon,
+            SplitRatios::default(),
+            cfg.time_period,
+        );
         LocalCopyPlane {
             ds,
             world: cfg.world,
@@ -341,7 +309,7 @@ pub fn run_distributed_index<F>(
     signal: &StaticGraphTemporalSignal,
     cfg: &DistConfig,
     model_factory: F,
-) -> DistRunResult
+) -> EngineReport
 where
     F: Fn(&IndexDataset) -> Box<dyn Seq2Seq> + Sync,
 {
@@ -352,36 +320,22 @@ where
         |plane: &LocalCopyPlane| model_factory(plane.dataset()),
     )
     .expect("engine run without resume cannot fail")
-    .into_dist_result()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::workflow::pgt_dcrnn_factory;
     use st_data::datasets::{DatasetKind, DatasetSpec};
     use st_data::synthetic;
-    use st_graph::diffusion_supports;
-    use st_models::{ModelConfig, PgtDcrnn, Support};
 
-    fn run(world: usize, shuffle: ShuffleStrategy, epochs: usize) -> DistRunResult {
+    fn run(world: usize, shuffle: ShuffleStrategy, epochs: usize) -> EngineReport {
         let spec = DatasetSpec::get(DatasetKind::ChickenpoxHungary).scaled(0.35);
         let sig = synthetic::generate(&spec, 21);
         let mut cfg = DistConfig::new(world, epochs, spec.horizon);
         cfg.batch_per_worker = 4;
         cfg.shuffle = shuffle;
-        run_distributed_index(&sig, &cfg, |ds| {
-            let supports = Support::wrap_all(diffusion_supports(&sig.adjacency, 2));
-            let mc = ModelConfig {
-                input_dim: ds.num_features(),
-                output_dim: 1,
-                hidden: 8,
-                num_nodes: ds.num_nodes(),
-                horizon: ds.horizon(),
-                diffusion_steps: 2,
-                layers: 1,
-            };
-            Box::new(PgtDcrnn::new(mc, &supports, 42))
-        })
+        run_distributed_index(&sig, &cfg, pgt_dcrnn_factory(&sig, spec.horizon, 8, 42))
     }
 
     #[test]

@@ -15,6 +15,7 @@
 //! Training uses [`PgtDcrnn::forward_dynamic`], which swaps the diffusion
 //! operators per step while sharing gate weights across time.
 
+use crate::dist_index::DistConfig;
 use std::sync::Arc;
 
 use st_data::dynamic::DynamicGraphTemporalSignal;
@@ -335,33 +336,21 @@ pub fn partition_timeline_with(
     segments
 }
 
-/// Configuration for dynamic-graph training.
+/// The dynamic-graph values a [`DistConfig`] does not carry: the model
+/// shape and the partition timeline. Everything else (epochs, lr, seed,
+/// clip, horizon, storage, partitioner) comes from the run's
+/// [`DistConfig`].
 #[derive(Debug, Clone)]
 pub struct DynamicTrainConfig {
-    /// Epochs.
-    pub epochs: usize,
-    /// Learning rate.
-    pub lr: f32,
     /// Hidden width.
     pub hidden: usize,
     /// Diffusion steps K.
     pub diffusion_steps: usize,
-    /// Seed for model init + shuffling.
-    pub seed: u64,
-    /// Gradient clip.
-    pub grad_clip: Option<f32>,
     /// Spatial parts the partition timeline tracks (1 = unpartitioned; the
     /// single-worker trainer itself is unchanged — the timeline prices
     /// what a `parts`-way partition-parallel deployment would pay as the
     /// topology mutates).
     pub parts: usize,
-    /// Storage backend for the standardized feature copy
-    /// ([`StorageSpec::Chunked`] streams windows from disk through a
-    /// bounded cache).
-    pub storage: StorageSpec,
-    /// The partitioner the timeline runs at entry 0 and (under
-    /// [`RepartitionPolicy::Full`]) at every mutation.
-    pub partitioner: PartitionerKind,
     /// How the timeline reacts to graph mutations: re-solve from scratch
     /// ([`RepartitionPolicy::Full`], the bit-identical legacy path) or
     /// repair the previous split around the dirty boundary
@@ -372,15 +361,9 @@ pub struct DynamicTrainConfig {
 impl Default for DynamicTrainConfig {
     fn default() -> Self {
         DynamicTrainConfig {
-            epochs: 3,
-            lr: 1e-2,
             hidden: 8,
             diffusion_steps: 2,
-            seed: 42,
-            grad_clip: Some(5.0),
             parts: 1,
-            storage: StorageSpec::InMemory,
-            partitioner: PartitionerKind::Multilevel,
             repartition: RepartitionPolicy::Full,
         }
     }
@@ -522,47 +505,64 @@ impl crate::engine::DistDataPlane for DynamicPlane {
 
 /// Train a PGT-DCRNN over a dynamic signal with index-batching, via the
 /// unified engine as a one-rank world.
+///
+/// `cfg` supplies epochs, lr, seed, clip, horizon, storage and the
+/// partitioner the timeline runs at entry 0 and (under
+/// [`RepartitionPolicy::Full`]) at every mutation; `dynamic` the rest.
+/// Every step trains on one window — windows with different topology
+/// cannot share a fused batch — so `cfg.batch_per_worker` is not read.
+/// Panics unless `cfg.world == 1`, and on a `cfg.time_period`: dynamic
+/// signals carry no time-of-day feature.
 pub fn train_dynamic(
     signal: &DynamicGraphTemporalSignal,
-    horizon: usize,
-    cfg: &DynamicTrainConfig,
+    cfg: &DistConfig,
+    dynamic: &DynamicTrainConfig,
 ) -> (PgtDcrnn, Vec<DynamicEpochStats>) {
+    assert_eq!(cfg.world, 1, "dynamic-graph training runs on one worker");
+    assert!(
+        cfg.time_period.is_none(),
+        "dynamic-graph training has no time-of-day feature"
+    );
+    let horizon = cfg.horizon;
     let ds = DynamicIndexDataset::from_signal_spec(
         signal,
         horizon,
         SplitRatios::default(),
-        cfg.diffusion_steps,
+        dynamic.diffusion_steps,
         cfg.storage,
     );
     let std = ds.scaler().std;
-    let mut dist_cfg = crate::dist_index::DistConfig::new(1, cfg.epochs, horizon);
-    dist_cfg.batch_per_worker = 1;
-    dist_cfg.lr = cfg.lr;
-    dist_cfg.seed = cfg.seed;
-    dist_cfg.grad_clip = cfg.grad_clip;
+    let cfg = DistConfig {
+        batch_per_worker: 1,
+        ..cfg.clone()
+    };
     // Re-partition with the configured partitioner at every graph
     // mutation: the plane carries the timeline so partition-parallel
     // consumers can price each topology segment's halo. With the default
     // `parts = 1` there is nothing to split and nothing to price — skip
     // the per-entry adjacency scans entirely.
-    let timeline = if cfg.parts > 1 {
-        partition_timeline_with(signal, cfg.parts, cfg.partitioner, horizon, cfg.repartition)
+    let timeline = if dynamic.parts > 1 {
+        partition_timeline_with(
+            signal,
+            dynamic.parts,
+            cfg.partitioner,
+            horizon,
+            dynamic.repartition,
+        )
     } else {
         Vec::new()
     };
 
-    let (report, model) = crate::engine::run_single(
-        &dist_cfg,
-        &crate::engine::EngineOptions::default(),
-        move |cm| {
+    let (report, model) =
+        crate::engine::run_single(&cfg, &crate::engine::EngineOptions::default(), move |cm| {
             let model = PgtDcrnn::new(
                 ModelConfig {
                     input_dim: ds.num_features(),
                     output_dim: 1,
-                    hidden: cfg.hidden,
+                    hidden: dynamic.hidden,
                     num_nodes: ds.num_nodes(),
                     horizon,
-                    diffusion_steps: cfg.diffusion_steps,
+                    diffusion_steps: dynamic.diffusion_steps,
                     layers: 1,
                 },
                 // Initial supports only fix the weight layout (support
@@ -575,9 +575,8 @@ pub fn train_dynamic(
                 DynamicPlane::with_partition_timeline(ds, cfg.seed, timeline, cm),
                 model,
             )
-        },
-    )
-    .expect("engine run without resume cannot fail");
+        })
+        .expect("engine run without resume cannot fail");
     // Rebuild original-unit validation MAE from the engine's raw f64 sums
     // (the rank-uniform f32 gather path rounds differently than the
     // historical single-worker formula).
@@ -704,17 +703,17 @@ mod tests {
     #[test]
     fn incremental_policy_trains_like_full() {
         let sig = synthetic_dynamic_traffic(6, 80, 7);
-        let full_cfg = DynamicTrainConfig {
-            epochs: 2,
+        let cfg = DistConfig::new(1, 2, 4);
+        let full = DynamicTrainConfig {
             parts: 2,
             ..Default::default()
         };
-        let inc_cfg = DynamicTrainConfig {
+        let inc = DynamicTrainConfig {
             repartition: RepartitionPolicy::incremental(),
-            ..full_cfg.clone()
+            ..full.clone()
         };
-        let (_, full_stats) = train_dynamic(&sig, 4, &full_cfg);
-        let (_, inc_stats) = train_dynamic(&sig, 4, &inc_cfg);
+        let (_, full_stats) = train_dynamic(&sig, &cfg, &full);
+        let (_, inc_stats) = train_dynamic(&sig, &cfg, &inc);
         // The timeline prices partition-parallel halo; the single-worker
         // trajectory itself is identical under either policy.
         for (f, i) in full_stats.iter().zip(&inc_stats) {
@@ -748,13 +747,26 @@ mod tests {
     }
 
     #[test]
+    #[should_panic(expected = "one worker")]
+    fn dynamic_training_refuses_a_multi_worker_config() {
+        let sig = synthetic_dynamic_traffic(6, 60, 5);
+        train_dynamic(&sig, &DistConfig::new(2, 1, 4), &Default::default());
+    }
+
+    #[test]
+    #[should_panic(expected = "no time-of-day feature")]
+    fn dynamic_training_refuses_a_time_period() {
+        let sig = synthetic_dynamic_traffic(6, 60, 5);
+        let mut cfg = DistConfig::new(1, 1, 4);
+        cfg.time_period = Some(5);
+        train_dynamic(&sig, &cfg, &Default::default());
+    }
+
+    #[test]
     fn dynamic_training_learns() {
         let sig = synthetic_dynamic_traffic(6, 80, 7);
-        let cfg = DynamicTrainConfig {
-            epochs: 3,
-            ..Default::default()
-        };
-        let (_, stats) = train_dynamic(&sig, 4, &cfg);
+        let cfg = DistConfig::new(1, 3, 4);
+        let (_, stats) = train_dynamic(&sig, &cfg, &DynamicTrainConfig::default());
         assert_eq!(stats.len(), 3);
         let first = stats.first().unwrap().train_loss;
         let last = stats.last().unwrap().train_loss;

@@ -40,7 +40,7 @@
 //! runs stay reproducible bit-for-bit while replicas may deliberately
 //! diverge from the synchronous trajectory.
 
-use crate::dist_index::{DistConfig, DistEpochStats, DistRunResult};
+use crate::dist_index::{DistConfig, DistEpochStats};
 use st_autograd::checkpoint::CheckpointError;
 use st_autograd::loss;
 use st_autograd::module::Param;
@@ -242,13 +242,8 @@ impl StepLoop {
 
     /// One forward/backward: run `fwd` on a fresh tape, take the MAE
     /// against `y`'s target, backprop, and accumulate parameter
-    /// gradients. Returns the (standardized) loss value.
-    pub fn forward_backward(&self, fwd: impl FnOnce(&Tape) -> Var, y: &Tensor) -> f32 {
-        self.forward_backward_traced(fwd, y, false).0
-    }
-
-    /// [`StepLoop::forward_backward`] plus, when `trace` is set, the
-    /// tape's gradient-completion sequence
+    /// gradients. Returns the (standardized) loss value plus, when `trace`
+    /// is set, the tape's gradient-completion sequence
     /// ([`Tape::param_completion_order`]) — the timing trace the pipelined
     /// engine samples once per rank to model when each gradient bucket
     /// may fire (the sequence is a pure function of the model structure,
@@ -355,7 +350,9 @@ impl From<CheckpointError> for EngineError {
     }
 }
 
-/// What one engine run reports.
+/// What one engine run reports. The distributed runners and
+/// [`crate::workflow::SingleGpuRun::train`] return it as is; the
+/// partitioned and dynamic runners derive their results from it.
 #[derive(Debug, Clone)]
 pub struct EngineReport {
     /// Per-epoch stats (rank-0 view; all ranks agree).
@@ -383,17 +380,12 @@ pub struct EngineReport {
 }
 
 impl EngineReport {
-    /// Collapse into the public per-runner result type.
-    pub fn into_dist_result(self) -> DistRunResult {
-        DistRunResult {
-            epochs: self.epochs,
-            sim_compute_secs: self.sim_compute_secs,
-            sim_comm_secs: self.sim_comm_secs,
-            sim_total_secs: self.sim_total_secs,
-            bytes_moved: self.bytes_moved,
-            data_plane_bytes: self.data_plane_bytes,
-            wall_secs: self.wall_secs,
-        }
+    /// Best validation MAE over epochs.
+    pub fn best_val_mae(&self) -> f32 {
+        self.epochs
+            .iter()
+            .map(|e| e.val_mae)
+            .fold(f32::INFINITY, f32::min)
     }
 }
 

@@ -15,8 +15,8 @@
 //! under [`DistConfig::prefetch`] the engine overlaps that read with early
 //! compute instead of paying it up front.
 
-use crate::dist_index::{DistConfig, DistRunResult};
-use crate::engine::{self, DistDataPlane, EngineOptions, Fetch};
+use crate::dist_index::DistConfig;
+use crate::engine::{self, DistDataPlane, EngineOptions, EngineReport, Fetch};
 use crate::index_batching::IndexDataset;
 use st_data::scaler::StandardScaler;
 use st_data::signal::StaticGraphTemporalSignal;
@@ -250,29 +250,15 @@ pub fn run_generalized<F>(
     signal: &StaticGraphTemporalSignal,
     cfg: &DistConfig,
     model_factory: F,
-) -> DistRunResult
+) -> EngineReport
 where
     F: Fn(&IndexDataset) -> Box<dyn Seq2Seq> + Sync,
 {
     // Standardize once (the paper's generalized mode preprocesses
     // distributedly; the single-copy standardization is the index-batching
     // part, and the DistributedArray below is the partitioning part).
-    let augmented;
-    let sig = match cfg.time_period {
-        Some(p) => {
-            augmented = signal.with_time_feature(p);
-            &augmented
-        }
-        None => signal,
-    };
-    let rechunked;
-    let sig = if cfg.storage.is_chunked() && !sig.is_chunked() {
-        rechunked = sig.rechunk(cfg.storage);
-        &rechunked
-    } else {
-        sig
-    };
-    let full = IndexDataset::from_signal(sig, cfg.horizon, SplitRatios::default(), None);
+    let sig = signal.prepared(cfg.time_period, cfg.storage);
+    let full = IndexDataset::from_signal(&sig, cfg.horizon, SplitRatios::default(), None);
     let (nodes, features) = (full.num_nodes(), full.num_features());
     let scaler = full.scaler().clone();
     let split = full.splits().clone();
@@ -307,41 +293,20 @@ where
         |plane: &HaloEntryPlane| model_factory(plane.dataset()),
     )
     .expect("engine run without resume cannot fail")
-    .into_dist_result()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::workflow::pgt_dcrnn_factory;
     use st_data::datasets::{DatasetKind, DatasetSpec};
     use st_data::synthetic;
     use st_dist::topology::ClusterTopology;
-    use st_graph::diffusion_supports;
-    use st_models::{ModelConfig, PgtDcrnn, Support};
 
     fn setup() -> (DatasetSpec, StaticGraphTemporalSignal) {
         let spec = DatasetSpec::get(DatasetKind::PemsBay).scaled(0.012);
         let sig = synthetic::generate(&spec, 31);
         (spec, sig)
-    }
-
-    fn factory(
-        sig: &StaticGraphTemporalSignal,
-        horizon: usize,
-    ) -> impl Fn(&IndexDataset) -> Box<dyn Seq2Seq> + Sync + '_ {
-        move |ds: &IndexDataset| {
-            let supports = Support::wrap_all(diffusion_supports(&sig.adjacency, 2));
-            let mc = ModelConfig {
-                input_dim: ds.num_features(),
-                output_dim: 1,
-                hidden: 8,
-                num_nodes: ds.num_nodes(),
-                horizon,
-                diffusion_steps: 2,
-                layers: 1,
-            };
-            Box::new(PgtDcrnn::new(mc, &supports, 42))
-        }
     }
 
     #[test]
@@ -425,7 +390,7 @@ mod tests {
         let mut cfg = DistConfig::new(2, 2, spec.horizon);
         cfg.batch_per_worker = 4;
         cfg.time_period = Some(spec.period);
-        let r = run_generalized(&sig, &cfg, factory(&sig, spec.horizon));
+        let r = run_generalized(&sig, &cfg, pgt_dcrnn_factory(&sig, spec.horizon, 8, 42));
         assert_eq!(r.epochs.len(), 2);
         let first = r.epochs.first().unwrap().train_loss;
         let last = r.epochs.last().unwrap().train_loss;
@@ -445,8 +410,8 @@ mod tests {
         cfg1.time_period = Some(spec.period);
         let mut cfg3 = cfg1.clone();
         cfg3.epochs = 3;
-        let one = run_generalized(&sig, &cfg1, factory(&sig, spec.horizon));
-        let three = run_generalized(&sig, &cfg3, factory(&sig, spec.horizon));
+        let one = run_generalized(&sig, &cfg1, pgt_dcrnn_factory(&sig, spec.horizon, 8, 42));
+        let three = run_generalized(&sig, &cfg3, pgt_dcrnn_factory(&sig, spec.horizon, 8, 42));
         // Gradient traffic triples, but data-plane (halo) bytes are fixed;
         // total for 3 epochs must be far below 3× the 1-epoch total would
         // be if data were refetched every epoch like baseline DDP.
@@ -466,9 +431,9 @@ mod tests {
         let mut cfg = DistConfig::new(2, 2, spec.horizon);
         cfg.batch_per_worker = 4;
         cfg.time_period = Some(spec.period);
-        let sync = run_generalized(&sig, &cfg, factory(&sig, spec.horizon));
+        let sync = run_generalized(&sig, &cfg, pgt_dcrnn_factory(&sig, spec.horizon, 8, 42));
         cfg.prefetch = true;
-        let pf = run_generalized(&sig, &cfg, factory(&sig, spec.horizon));
+        let pf = run_generalized(&sig, &cfg, pgt_dcrnn_factory(&sig, spec.horizon, 8, 42));
         assert!(
             pf.sim_total_secs < sync.sim_total_secs,
             "prefetch total {} s must beat sync {} s",

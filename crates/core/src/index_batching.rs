@@ -54,14 +54,7 @@ impl IndexDataset {
         ratios: SplitRatios,
         time_feature_period: Option<usize>,
     ) -> Self {
-        let augmented;
-        let sig = match time_feature_period {
-            Some(p) => {
-                augmented = signal.with_time_feature(p);
-                &augmented
-            }
-            None => signal,
-        };
+        let sig = signal.prepared(time_feature_period, StorageSpec::InMemory);
         let s = num_snapshots(sig.entries(), horizon);
         assert!(s > 0, "signal too short for horizon {horizon}");
         let splits = ratios.split(s);

@@ -14,7 +14,10 @@
 //!   single-worker included: a [`engine::DistDataPlane`] supplies the
 //!   epoch plan, quoted batch fetches, and traffic ledger, while the
 //!   engine owns forward/backward, DDP averaging, prefetch overlap,
-//!   rank-order metric reductions, and checkpoint capture/resume.
+//!   rank-order metric reductions, and checkpoint capture/resume. Every
+//!   mode is configured by one [`DistConfig`] and reported by one
+//!   [`EngineReport`] (the partitioned and dynamic runners derive their
+//!   results from it).
 //! - [`trainer`] — single-worker training: the batching-agnostic
 //!   [`trainer::BatchSource`] (standard or index), the world-of-one
 //!   [`trainer::SourcePlane`] the engine trains over, and
@@ -50,7 +53,7 @@ pub mod projection;
 pub mod trainer;
 pub mod workflow;
 
-pub use dist_index::{DistConfig, DistRunResult};
+pub use dist_index::DistConfig;
 pub use engine::{DistDataPlane, EngineError, EngineOptions, EngineReport, StepLoop};
 pub use index_batching::IndexDataset;
 pub use memory_model::{index_batching_bytes, standard_preprocess_bytes};

@@ -25,98 +25,16 @@
 //! loop drives every partition concurrently, and validation is restricted
 //! to owned nodes through [`crate::engine::DistDataPlane::val_views`].
 
+use crate::dist_index::DistConfig;
 use crate::engine::{self, DistDataPlane, EngineOptions, Fetch};
 use crate::index_batching::IndexDataset;
+use crate::workflow::pgt_dcrnn;
 use st_data::signal::StaticGraphTemporalSignal;
 use st_data::splits::SplitRatios;
 use st_data::storage::SignalStorage;
-use st_dist::topology::ClusterTopology;
-use st_graph::diffusion_supports;
-use st_models::{ModelConfig, PgtDcrnn, Seq2Seq, Support};
+use st_graph::PartitionerKind;
+use st_models::Seq2Seq;
 use st_tensor::Tensor;
-
-/// How to split the graph across partition workers. Each variant maps to
-/// an [`st_graph::PartitionerKind`] threaded through
-/// [`crate::dist_index::DistConfig::partitioner`] — the single knob every
-/// partition-consuming plane reads.
-#[derive(Debug, Clone)]
-pub enum PartitionStrategy {
-    /// Contiguous node-index blocks (the naive baseline).
-    Contiguous,
-    /// Recursive coordinate bisection over sensor coordinates.
-    CoordinateBisection(Vec<(f32, f32)>),
-    /// Seeded BFS region growing over the weighted edges.
-    GreedyBfs,
-    /// Multilevel heavy-edge-matching partitioning with halo-cost-scored
-    /// boundary refinement ([`st_graph::Partitioning::multilevel`]) — the
-    /// default, and the quality choice under the
-    /// [`st_graph::HaloCostModel`].
-    Multilevel,
-}
-
-impl PartitionStrategy {
-    /// The [`st_graph::PartitionerKind`] this strategy routes through,
-    /// plus the coordinates the geometric variant carries.
-    pub fn kind(&self) -> (st_graph::PartitionerKind, Option<&[(f32, f32)]>) {
-        match self {
-            PartitionStrategy::Contiguous => (st_graph::PartitionerKind::Contiguous, None),
-            PartitionStrategy::CoordinateBisection(coords) => {
-                (st_graph::PartitionerKind::CoordinateBisection, Some(coords))
-            }
-            PartitionStrategy::GreedyBfs => (st_graph::PartitionerKind::GreedyBfs, None),
-            PartitionStrategy::Multilevel => (st_graph::PartitionerKind::Multilevel, None),
-        }
-    }
-}
-
-/// Configuration of a partitioned training run.
-#[derive(Debug, Clone)]
-pub struct PartitionedConfig {
-    /// Number of partitions (one model per partition).
-    pub parts: usize,
-    /// Halo depth in hops; should be ≥ the model's diffusion steps K so
-    /// boundary convolutions see their full receptive field.
-    pub halo_depth: usize,
-    /// Partitioner.
-    pub strategy: PartitionStrategy,
-    /// Training epochs per partition model.
-    pub epochs: usize,
-    /// Batch size.
-    pub batch_size: usize,
-    /// Learning rate.
-    pub lr: f32,
-    /// Hidden width of each partition model.
-    pub hidden: usize,
-    /// Forecast horizon.
-    pub horizon: usize,
-    /// Optional time-of-day augmentation period.
-    pub time_period: Option<usize>,
-    /// Shared seed.
-    pub seed: u64,
-    /// Signal storage backend. Under [`st_data::StorageSpec::Chunked`] every
-    /// per-partition node-subset copy streams from its own on-disk columnar
-    /// file through a bounded chunk cache instead of living in RAM.
-    pub storage: st_data::StorageSpec,
-}
-
-impl PartitionedConfig {
-    /// Reasonable defaults for a measured run.
-    pub fn new(parts: usize, horizon: usize) -> Self {
-        PartitionedConfig {
-            parts,
-            halo_depth: 2,
-            strategy: PartitionStrategy::Multilevel,
-            epochs: 3,
-            batch_size: 8,
-            lr: 1e-2,
-            hidden: 8,
-            horizon,
-            time_period: None,
-            seed: 42,
-            storage: st_data::StorageSpec::InMemory,
-        }
-    }
-}
 
 /// Per-partition outcome.
 #[derive(Debug)]
@@ -304,49 +222,57 @@ impl DistDataPlane for PartitionedPlane {
 /// Run partitioned index-batching training: one PGT-DCRNN per partition,
 /// all partitions trained **concurrently** as engine ranks, each on its
 /// halo-augmented node-subset signal, validated on its owned nodes only.
+///
+/// `cfg.world` is the number of partitions, split by `cfg.partitioner`;
+/// epochs, batch, lr, seed, clip, horizon, time period and storage apply
+/// to every partition model as to any engine run. The mode-specific
+/// values are arguments: `halo_depth` in hops (should be ≥ the model's
+/// diffusion steps K = 2 so boundary convolutions see their full
+/// receptive field), the `hidden` width of each partition model, and the
+/// sensor `coords` that [`PartitionerKind::CoordinateBisection`] needs
+/// (one per node; other partitioners ignore them).
+///
+/// Panics when `cfg.partitioner` is `CoordinateBisection` and `coords` is
+/// missing or not one per node.
 pub fn run_partitioned(
     signal: &StaticGraphTemporalSignal,
-    cfg: &PartitionedConfig,
+    cfg: &DistConfig,
+    halo_depth: usize,
+    hidden: usize,
+    coords: Option<&[(f32, f32)]>,
 ) -> PartitionedResult {
-    let rechunked;
-    let signal = if cfg.storage.is_chunked() && !signal.is_chunked() {
-        rechunked = signal.rechunk(cfg.storage);
-        &rechunked
-    } else {
-        signal
-    };
-    // The partitioner flows through DistConfig — the knob every
-    // partition-consuming plane shares — rather than being hard-wired
-    // per runner.
-    let mut dist_cfg = crate::dist_index::DistConfig::new(cfg.parts, cfg.epochs, cfg.horizon);
-    dist_cfg.batch_per_worker = cfg.batch_size;
-    dist_cfg.lr = cfg.lr;
-    dist_cfg.seed = cfg.seed;
-    dist_cfg.grad_clip = Some(5.0);
-    dist_cfg.time_period = cfg.time_period;
-    dist_cfg.topology = ClusterTopology::polaris();
-    let (kind, coords) = cfg.strategy.kind();
-    dist_cfg.partitioner = kind;
-    if let Some(c) = coords {
-        assert_eq!(c.len(), signal.num_nodes(), "one coordinate per node");
+    if cfg.partitioner == PartitionerKind::CoordinateBisection {
+        let c = coords.expect("CoordinateBisection needs sensor coordinates, got none");
+        assert_eq!(
+            c.len(),
+            signal.num_nodes(),
+            "CoordinateBisection needs one coordinate per node"
+        );
     }
-    let partitioning =
-        dist_cfg
-            .partitioner
-            .partition(&signal.adjacency, coords, cfg.parts, cfg.horizon);
-    let subgraphs = partitioning.subgraphs(&signal.adjacency, cfg.halo_depth);
+    let signal = signal.prepared(None, cfg.storage);
+    let signal = signal.as_ref();
+    let partitioning = cfg
+        .partitioner
+        .partition(&signal.adjacency, coords, cfg.world, cfg.horizon);
+    let subgraphs = partitioning.subgraphs(&signal.adjacency, halo_depth);
 
     // Whole-graph comparison quantities.
     let whole_ds =
         IndexDataset::from_signal(signal, cfg.horizon, SplitRatios::default(), cfg.time_period);
-    let whole_model = build_model(&whole_ds, signal, cfg);
+    let whole_model = pgt_dcrnn(
+        signal,
+        whole_ds.num_features(),
+        cfg.horizon,
+        hidden,
+        cfg.seed,
+    );
     let whole_flops = whole_model.flops_per_forward(1);
     let whole_resident_bytes = whole_ds.resident_bytes(4);
 
     // Empty parts (possible when `parts > n` — the partitioners document
     // it) own nothing, train nothing, and must not panic downstream: only
     // the non-empty parts become engine ranks.
-    let active: Vec<usize> = (0..cfg.parts)
+    let active: Vec<usize> = (0..cfg.world)
         .filter(|&p| subgraphs[p].owned_count > 0)
         .collect();
 
@@ -366,26 +292,30 @@ pub fn run_partitioned(
             (local_sig, ds)
         })
         .collect();
-    dist_cfg.world = active.len();
+    let run_cfg = DistConfig {
+        world: active.len(),
+        ..cfg.clone()
+    };
 
     // Per-partition forward FLOPs, captured from the models the engine
     // builds (so nothing is constructed twice just to size it).
     let part_flops = std::sync::Mutex::new(vec![0.0f64; active.len()]);
     let report = engine::run(
-        &dist_cfg,
+        &run_cfg,
         &EngineOptions::default(),
         |rank, cm| {
             PartitionedPlane::new(
                 locals[rank].1.clone(),
                 subgraphs[active[rank]].owned_count,
-                cfg.batch_size,
+                cfg.batch_per_worker,
                 cfg.seed,
                 rank,
                 cm,
             )
         },
         |plane: &PartitionedPlane| {
-            let model = build_model(plane.dataset(), &locals[plane.rank()].0, cfg);
+            let (sig, ds) = &locals[plane.rank()];
+            let model = pgt_dcrnn(sig, ds.num_features(), cfg.horizon, hidden, cfg.seed);
             part_flops.lock().unwrap()[plane.rank()] = model.flops_per_forward(1);
             Box::new(model) as Box<dyn Seq2Seq>
         },
@@ -393,7 +323,7 @@ pub fn run_partitioned(
     .expect("engine run without resume cannot fail");
     let part_flops = part_flops.into_inner().unwrap();
 
-    let mut parts = Vec::with_capacity(cfg.parts);
+    let mut parts = Vec::with_capacity(cfg.world);
     let mut abs_weighted = 0.0f64;
     let mut weight = 0.0f64;
     let mut max_flops = 0.0f64;
@@ -444,7 +374,7 @@ pub fn run_partitioned(
         combined_val_mae: (abs_weighted / weight.max(1.0)) as f32,
         cut_fraction: partitioning.cut_fraction(&signal.adjacency),
         modeled_halo_bytes: cost.halo_bytes(&signal.adjacency, &partitioning),
-        replication_factor: partitioning.replication_factor(&signal.adjacency, cfg.halo_depth),
+        replication_factor: partitioning.replication_factor(&signal.adjacency, halo_depth),
         parallel_flops_fraction: max_flops / whole_flops,
         max_resident_bytes: max_resident,
         whole_resident_bytes,
@@ -452,31 +382,9 @@ pub fn run_partitioned(
     }
 }
 
-fn build_model(
-    ds: &IndexDataset,
-    sig: &StaticGraphTemporalSignal,
-    cfg: &PartitionedConfig,
-) -> PgtDcrnn {
-    let supports = Support::wrap_all(diffusion_supports(&sig.adjacency, 2));
-    PgtDcrnn::new(
-        ModelConfig {
-            input_dim: ds.num_features(),
-            output_dim: 1,
-            hidden: cfg.hidden,
-            num_nodes: ds.num_nodes(),
-            horizon: cfg.horizon,
-            diffusion_steps: 2,
-            layers: 1,
-        },
-        &supports,
-        cfg.seed,
-    )
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::dist_index::DistConfig;
     use crate::trainer::SourcePlane;
     use st_data::datasets::{DatasetKind, DatasetSpec};
     use st_data::synthetic;
@@ -497,7 +405,7 @@ mod tests {
     /// The pre-engine reference: validation MAE restricted to the first
     /// `owned` nodes, original units, computed directly on a model trained
     /// whole-graph as a world of one.
-    fn owned_val_mae(model: &PgtDcrnn, ds: &IndexDataset, owned: usize, batch: usize) -> f32 {
+    fn owned_val_mae(model: &dyn Seq2Seq, ds: &IndexDataset, owned: usize, batch: usize) -> f32 {
         let ids: Vec<usize> = ds.splits().val.clone().collect();
         if ids.is_empty() {
             return f32::NAN;
@@ -548,10 +456,9 @@ mod tests {
     #[test]
     fn partitioned_run_trains_and_reports_tradeoffs() {
         let sig = corridor_signal();
-        let mut cfg = PartitionedConfig::new(2, 4);
-        cfg.epochs = 2;
-        cfg.batch_size = 4;
-        let r = run_partitioned(&sig, &cfg);
+        let mut cfg = DistConfig::new(2, 2, 4);
+        cfg.batch_per_worker = 4;
+        let r = run_partitioned(&sig, &cfg, 2, 8, None);
         assert_eq!(r.parts.len(), 2);
         assert!(r.combined_val_mae.is_finite());
         // The documented trade-off triangle:
@@ -570,26 +477,21 @@ mod tests {
     fn single_part_matches_whole_graph_training() {
         // k = 1 with no halo is exactly the unpartitioned pipeline.
         let (spec, sig) = signal();
-        let mut cfg = PartitionedConfig::new(1, spec.horizon);
-        cfg.epochs = 2;
-        cfg.batch_size = 4;
-        let part = run_partitioned(&sig, &cfg);
+        let mut cfg = DistConfig::new(1, 2, spec.horizon);
+        cfg.batch_per_worker = 4;
+        let part = run_partitioned(&sig, &cfg, 2, 8, None);
         assert_eq!(part.parts[0].halo, 0);
         assert!((part.replication_factor - 1.0).abs() < 1e-9);
         assert!((part.parallel_flops_fraction - 1.0).abs() < 1e-9);
 
         // Whole-graph reference with identical settings and seed.
         let ds = IndexDataset::from_signal(&sig, cfg.horizon, SplitRatios::default(), None);
-        let model = build_model(&ds, &sig, &cfg);
-        let mut single = DistConfig::new(1, cfg.epochs, cfg.horizon);
-        single.batch_per_worker = cfg.batch_size;
-        single.lr = cfg.lr;
-        single.seed = cfg.seed;
-        engine::run_single(&single, &EngineOptions::default(), |_| {
-            (SourcePlane::new(&ds, &single), &model)
+        let model = pgt_dcrnn(&sig, ds.num_features(), cfg.horizon, 8, cfg.seed);
+        engine::run_single(&cfg, &EngineOptions::default(), |_| {
+            (SourcePlane::new(&ds, &cfg), &model)
         })
         .expect("no resume");
-        let whole = owned_val_mae(&model, &ds, sig.num_nodes(), cfg.batch_size);
+        let whole = owned_val_mae(&model, &ds, sig.num_nodes(), cfg.batch_per_worker);
         let diff = (part.combined_val_mae - whole).abs();
         assert!(
             diff < 1e-5 * whole.abs().max(1.0),
@@ -606,11 +508,9 @@ mod tests {
         // node_subset_signal / IndexDataset / the engine.
         let net = st_graph::generators::highway_corridor(5, 1, 11);
         let sig = synthetic::traffic::generate(&net, 160, 288, 11);
-        let mut cfg = PartitionedConfig::new(7, 4);
-        cfg.epochs = 1;
-        cfg.batch_size = 4;
-        cfg.halo_depth = 1;
-        let r = run_partitioned(&sig, &cfg);
+        let mut cfg = DistConfig::new(7, 1, 4);
+        cfg.batch_per_worker = 4;
+        let r = run_partitioned(&sig, &cfg, 1, 8, None);
         assert_eq!(r.parts.len(), 7);
         let empty: Vec<&PartResult> = r.parts.iter().filter(|p| p.owned == 0).collect();
         assert_eq!(empty.len(), 2, "7 parts over 5 nodes leaves 2 empty");
@@ -628,19 +528,39 @@ mod tests {
     fn strategies_all_run() {
         let (spec, sig) = signal();
         let coords = st_graph::generators::random_geometric(sig.num_nodes(), 10.0, 5).coords;
-        for strategy in [
-            PartitionStrategy::Contiguous,
-            PartitionStrategy::CoordinateBisection(coords),
-            PartitionStrategy::GreedyBfs,
-            PartitionStrategy::Multilevel,
+        for kind in [
+            PartitionerKind::Contiguous,
+            PartitionerKind::CoordinateBisection,
+            PartitionerKind::GreedyBfs,
+            PartitionerKind::Multilevel,
         ] {
-            let mut cfg = PartitionedConfig::new(2, spec.horizon);
-            cfg.epochs = 1;
-            cfg.batch_size = 4;
-            cfg.strategy = strategy;
-            let r = run_partitioned(&sig, &cfg);
+            let mut cfg = DistConfig::new(2, 1, spec.horizon);
+            cfg.batch_per_worker = 4;
+            cfg.partitioner = kind;
+            let r = run_partitioned(&sig, &cfg, 2, 8, Some(&coords));
             assert!(r.combined_val_mae.is_finite());
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "CoordinateBisection needs sensor coordinates")]
+    fn coordinate_bisection_without_coordinates_is_refused() {
+        // Regression: the geometric partitioner silently ran greedy BFS
+        // when no coordinates came with it.
+        let (spec, sig) = signal();
+        let mut cfg = DistConfig::new(2, 1, spec.horizon);
+        cfg.partitioner = PartitionerKind::CoordinateBisection;
+        run_partitioned(&sig, &cfg, 2, 8, None);
+    }
+
+    #[test]
+    #[should_panic(expected = "one coordinate per node")]
+    fn coordinate_bisection_with_too_few_coordinates_is_refused() {
+        let (spec, sig) = signal();
+        let mut cfg = DistConfig::new(2, 1, spec.horizon);
+        cfg.partitioner = PartitionerKind::CoordinateBisection;
+        let coords = vec![(0.0, 0.0); sig.num_nodes() - 1];
+        run_partitioned(&sig, &cfg, 2, 8, Some(&coords));
     }
 
     #[test]
@@ -649,10 +569,7 @@ mod tests {
         // removes the horizon blow-up. Per-worker bytes must be close to
         // (local_nodes / N) × whole-graph index bytes.
         let sig = corridor_signal();
-        let mut cfg = PartitionedConfig::new(2, 4);
-        cfg.epochs = 1;
-        cfg.halo_depth = 1;
-        let r = run_partitioned(&sig, &cfg);
+        let r = run_partitioned(&sig, &DistConfig::new(2, 1, 4), 1, 8, None);
         for p in &r.parts {
             let local = p.owned + p.halo;
             let expected = r.whole_resident_bytes as f64 * local as f64 / sig.num_nodes() as f64;

@@ -195,27 +195,17 @@ pub fn evaluate<M: Seq2Seq + ?Sized>(
 mod tests {
     use super::*;
     use crate::engine::{run_single, EngineOptions, EngineReport};
+    use crate::workflow::pgt_dcrnn;
     use st_data::datasets::{DatasetKind, DatasetSpec};
     use st_data::splits::SplitRatios;
     use st_data::synthetic;
-    use st_graph::diffusion_supports;
-    use st_models::{ModelConfig, PgtDcrnn, Support};
+    use st_models::PgtDcrnn;
 
     fn setup() -> (PgtDcrnn, IndexDataset) {
         let spec = DatasetSpec::get(DatasetKind::ChickenpoxHungary).scaled(0.3);
         let sig = synthetic::generate(&spec, 11);
         let ds = IndexDataset::from_signal(&sig, spec.horizon, SplitRatios::default(), None);
-        let supports = Support::wrap_all(diffusion_supports(&sig.adjacency, 2));
-        let cfg = ModelConfig {
-            input_dim: ds.num_features(),
-            output_dim: 1,
-            hidden: 8,
-            num_nodes: ds.num_nodes(),
-            horizon: spec.horizon,
-            diffusion_steps: 2,
-            layers: 1,
-        };
-        (PgtDcrnn::new(cfg, &supports, 3), ds)
+        (pgt_dcrnn(&sig, ds.num_features(), spec.horizon, 8, 3), ds)
     }
 
     fn train(model: &PgtDcrnn, ds: &IndexDataset, epochs: usize) -> EngineReport {

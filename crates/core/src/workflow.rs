@@ -1,7 +1,7 @@
 //! End-to-end convenience entry points used by the examples and harness.
 
-use crate::dist_index::{DistConfig, DistRunResult};
-use crate::engine::{self, EngineOptions};
+use crate::dist_index::DistConfig;
+use crate::engine::{self, EngineOptions, EngineReport};
 use crate::index_batching::IndexDataset;
 use crate::trainer::{self, BatchSource, MaterializedDataset, SourcePlane};
 use st_data::datasets::{DatasetKind, DatasetSpec, Domain};
@@ -53,18 +53,8 @@ pub fn prepare_single_gpu(
     let spec = DatasetSpec::get(kind).scaled(scale);
     let signal = synthetic::generate(&spec, seed);
     let period = time_period(&spec);
-    let supports = Support::wrap_all(diffusion_supports(&signal.adjacency, 2));
     let features = spec.raw_features + usize::from(period.is_some());
-    let cfg = ModelConfig {
-        input_dim: features,
-        output_dim: 1,
-        hidden,
-        num_nodes: spec.nodes,
-        horizon: spec.horizon,
-        diffusion_steps: 2,
-        layers: 1,
-    };
-    let model = PgtDcrnn::new(cfg, &supports, seed);
+    let model = pgt_dcrnn(&signal, features, spec.horizon, hidden, seed);
     let source: Box<dyn BatchSource> = match batching {
         Batching::Index => Box::new(IndexDataset::from_signal(
             &signal,
@@ -72,19 +62,13 @@ pub fn prepare_single_gpu(
             SplitRatios::default(),
             period,
         )),
-        Batching::Standard => {
-            let augmented = match period {
-                Some(p) => signal.with_time_feature(p),
-                None => signal.clone(),
-            };
-            Box::new(MaterializedDataset::new(
-                st_data::preprocess::materialized_xy(
-                    &augmented,
-                    spec.horizon,
-                    SplitRatios::default(),
-                ),
-            ))
-        }
+        Batching::Standard => Box::new(MaterializedDataset::new(
+            st_data::preprocess::materialized_xy(
+                &signal.prepared(period, st_data::StorageSpec::InMemory),
+                spec.horizon,
+                SplitRatios::default(),
+            ),
+        )),
     };
     SingleGpuRun {
         signal,
@@ -98,7 +82,7 @@ pub fn prepare_single_gpu(
 impl SingleGpuRun {
     /// Train the model in place with the given epoch/batch settings, as a
     /// world of one on the shared engine (shuffle seed 42, clip 5.0).
-    pub fn train(&self, epochs: usize, batch_size: usize, lr: f32) -> DistRunResult {
+    pub fn train(&self, epochs: usize, batch_size: usize, lr: f32) -> EngineReport {
         let mut cfg = DistConfig::new(1, epochs, self.spec.horizon);
         cfg.batch_per_worker = batch_size;
         cfg.lr = lr;
@@ -107,7 +91,6 @@ impl SingleGpuRun {
         })
         .expect("engine run without resume cannot fail")
         .0
-        .into_dist_result()
     }
 
     /// Evaluate test-set MAE (original units), 32 snapshots per batch.
@@ -121,27 +104,38 @@ impl SingleGpuRun {
     }
 }
 
-/// Build a PGT-DCRNN factory closure for the distributed runners, deriving
-/// the model from the per-worker dataset view.
+/// The PGT-DCRNN the runners, harnesses and examples train unless they
+/// say otherwise: one layer, K = 2 diffusion steps over `signal`'s graph,
+/// `features` input channels, one output channel.
+pub fn pgt_dcrnn(
+    signal: &StaticGraphTemporalSignal,
+    features: usize,
+    horizon: usize,
+    hidden: usize,
+    seed: u64,
+) -> PgtDcrnn {
+    let supports = Support::wrap_all(diffusion_supports(&signal.adjacency, 2));
+    let cfg = ModelConfig {
+        input_dim: features,
+        output_dim: 1,
+        hidden,
+        num_nodes: signal.num_nodes(),
+        horizon,
+        diffusion_steps: 2,
+        layers: 1,
+    };
+    PgtDcrnn::new(cfg, &supports, seed)
+}
+
+/// A [`pgt_dcrnn`] factory for the index-batched runners, taking the
+/// input width from the per-worker dataset view.
 pub fn pgt_dcrnn_factory(
     signal: &StaticGraphTemporalSignal,
     horizon: usize,
     hidden: usize,
     seed: u64,
 ) -> impl Fn(&IndexDataset) -> Box<dyn Seq2Seq> + Sync + '_ {
-    move |ds: &IndexDataset| {
-        let supports = Support::wrap_all(diffusion_supports(&signal.adjacency, 2));
-        let cfg = ModelConfig {
-            input_dim: ds.num_features(),
-            output_dim: 1,
-            hidden,
-            num_nodes: ds.num_nodes(),
-            horizon,
-            diffusion_steps: 2,
-            layers: 1,
-        };
-        Box::new(PgtDcrnn::new(cfg, &supports, seed))
-    }
+    move |ds: &IndexDataset| Box::new(pgt_dcrnn(signal, ds.num_features(), horizon, hidden, seed))
 }
 
 #[cfg(test)]

@@ -14,6 +14,7 @@
 use crate::storage::{RowStore, SignalStorage, StorageSpec};
 use st_graph::Adjacency;
 use st_tensor::Tensor;
+use std::borrow::Cow;
 
 /// A static graph whose node features evolve over time.
 #[derive(Debug, Clone)]
@@ -65,6 +66,24 @@ impl StaticGraphTemporalSignal {
             storage: self.storage.rechunk(spec),
             adjacency: self.adjacency.clone(),
         }
+    }
+
+    /// The signal a training run consumes: the time-of-day feature
+    /// appended when `time_period` is set
+    /// ([`StaticGraphTemporalSignal::with_time_feature`]), then re-housed
+    /// under `storage` when that streams from disk and the signal does not
+    /// yet ([`StaticGraphTemporalSignal::rechunk`]). An in-memory `storage`
+    /// never pulls a chunked signal back into RAM. Borrows `self` when
+    /// neither step applies, so the common in-memory path copies nothing.
+    pub fn prepared(&self, time_period: Option<usize>, storage: StorageSpec) -> Cow<'_, Self> {
+        let mut sig = Cow::Borrowed(self);
+        if let Some(p) = time_period {
+            sig = Cow::Owned(sig.with_time_feature(p));
+        }
+        if storage.is_chunked() && !sig.is_chunked() {
+            sig = Cow::Owned(sig.rechunk(storage));
+        }
+        sig
     }
 
     /// Number of time entries.
@@ -265,6 +284,30 @@ mod tests {
         for (x, y) in av.iter().zip(&bv) {
             assert_eq!(x.to_bits(), y.to_bits());
         }
+    }
+
+    #[test]
+    fn prepared_borrows_unless_a_step_applies() {
+        let dense = tiny_signal();
+        let chunked_spec = StorageSpec::Chunked(ChunkedSpec::new(1));
+        assert!(matches!(
+            dense.prepared(None, StorageSpec::InMemory),
+            Cow::Borrowed(_)
+        ));
+        let chunked = dense.rechunk(chunked_spec);
+        assert!(matches!(
+            chunked.prepared(None, chunked_spec),
+            Cow::Borrowed(_)
+        ));
+        // An in-memory target never densifies a chunked signal.
+        assert!(chunked.prepared(None, StorageSpec::InMemory).is_chunked());
+        let both = dense.prepared(Some(2), chunked_spec);
+        assert!(both.is_chunked());
+        assert_eq!(both.num_features(), 2);
+        assert_eq!(
+            both.storage.to_tensor().to_vec(),
+            dense.with_time_feature(2).data().to_vec()
+        );
     }
 
     #[test]

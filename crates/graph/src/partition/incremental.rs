@@ -20,8 +20,8 @@
 //!   only when modeled halo bytes drift past [`IncrementalConfig::drift`]
 //!   versus the last full solve;
 //! - [`RepartitionPolicy`] — the consumer-facing knob
-//!   (`DynamicTrainConfig::repartition` threads it into
-//!   `partition_timeline`).
+//!   (`pgt_index`'s `DynamicTrainConfig::repartition` selects it for the
+//!   timeline `train_dynamic` builds with `partition_timeline_with`).
 //!
 //! Cut state is exact at all times: `cut_neighbors()` returns in O(1) the
 //! same count `Partitioning::cut_neighbors` recomputes in O(E) — a

@@ -12,11 +12,9 @@
 
 use pgt_i::core::baseline_ddp::run_baseline_ddp;
 use pgt_i::core::dist_index::{run_distributed_index, DistConfig};
-use pgt_i::core::workflow::pgt_dcrnn_factory;
+use pgt_i::core::workflow::{pgt_dcrnn, pgt_dcrnn_factory};
 use pgt_i::data::datasets::{DatasetKind, DatasetSpec};
 use pgt_i::data::synthetic;
-use pgt_i::graph::diffusion_supports;
-use pgt_i::models::{ModelConfig, PgtDcrnn, Support};
 
 fn main() {
     let spec = DatasetSpec::get(DatasetKind::PemsBay).scaled(0.015);
@@ -33,21 +31,9 @@ fn main() {
 
         let factory = pgt_dcrnn_factory(&sig, spec.horizon, 12, 42);
         let index = run_distributed_index(&sig, &cfg, &factory);
+        // Speed plus the time-of-day feature: two input channels.
         let ddp = run_baseline_ddp(&sig, &cfg, |_| {
-            let supports = Support::wrap_all(diffusion_supports(&sig.adjacency, 2));
-            Box::new(PgtDcrnn::new(
-                ModelConfig {
-                    input_dim: 2,
-                    output_dim: 1,
-                    hidden: 12,
-                    num_nodes: sig.num_nodes(),
-                    horizon: spec.horizon,
-                    diffusion_steps: 2,
-                    layers: 1,
-                },
-                &supports,
-                42,
-            ))
+            Box::new(pgt_dcrnn(&sig, 2, spec.horizon, 12, 42))
         });
 
         println!(

@@ -9,6 +9,7 @@
 //! Run with: `cargo run --release --example dynamic_graph`
 
 use pgt_index::dynamic_index::{train_dynamic, DynamicIndexDataset, DynamicTrainConfig};
+use pgt_index::DistConfig;
 use st_data::dynamic::synthetic_dynamic_traffic;
 use st_data::splits::SplitRatios;
 
@@ -29,12 +30,12 @@ fn main() {
         ds.materialized_bytes() as f64 / ds.resident_bytes() as f64
     );
 
-    let cfg = DynamicTrainConfig {
-        epochs: 5,
+    let cfg = DistConfig::new(1, 5, horizon);
+    let dynamic = DynamicTrainConfig {
         hidden: 12,
         ..Default::default()
     };
-    let (_model, stats) = train_dynamic(&signal, horizon, &cfg);
+    let (_model, stats) = train_dynamic(&signal, &cfg, &dynamic);
     for s in &stats {
         println!(
             "epoch {:>2}: train loss {:.4} | val MAE {:.4}",

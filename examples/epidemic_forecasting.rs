@@ -47,11 +47,10 @@ fn main() {
     let mut cfg = DistConfig::new(1, 15, spec.horizon);
     cfg.batch_per_worker = spec.batch_size;
     cfg.seed = 7;
-    let (report, model) = run_single(&cfg, &EngineOptions::default(), |_| {
+    let (history, model) = run_single(&cfg, &EngineOptions::default(), |_| {
         (SourcePlane::new(&ds, &cfg), model)
     })
     .expect("no resume bytes to reject");
-    let history = report.into_dist_result();
     println!("epoch  train-loss  val-MAE (weekly cases)");
     for e in &history.epochs {
         println!("{:>5}  {:>10.4}  {:>8.3}", e.epoch, e.train_loss, e.val_mae);

@@ -11,7 +11,8 @@
 //! Run with: `cargo run --release --example partitioned_training`
 //! (`PGT_SMOKE=1` shrinks the workload for CI.)
 
-use pgt_index::partitioned::{run_partitioned, PartitionStrategy, PartitionedConfig};
+use pgt_index::partitioned::run_partitioned;
+use pgt_index::DistConfig;
 use st_data::synthetic;
 
 fn main() {
@@ -28,12 +29,10 @@ fn main() {
     );
 
     for parts in [1usize, 2, 4] {
-        let mut cfg = PartitionedConfig::new(parts, horizon);
-        cfg.strategy = PartitionStrategy::Multilevel;
-        cfg.epochs = epochs;
-        cfg.batch_size = 8;
-        cfg.halo_depth = 2; // ≥ diffusion steps K = 2
-        let r = run_partitioned(&sig, &cfg);
+        // Multilevel partitioner, batch 8 (the `DistConfig` defaults);
+        // halo depth 2 ≥ diffusion steps K = 2; hidden width 8.
+        let cfg = DistConfig::new(parts, epochs, horizon);
+        let r = run_partitioned(&sig, &cfg, 2, 8, None);
         println!(
             "k={parts}: val MAE {:.4} | edge cut {:.1}% | modeled halo {} B | \
              replication {:.2}x | critical path {:.0}% of whole-graph FLOPs | \

@@ -4,13 +4,11 @@
 use pgt_i::core::baseline_ddp::run_baseline_ddp;
 use pgt_i::core::dist_index::{run_distributed_index, DistConfig};
 use pgt_i::core::gen_dist_index::run_generalized;
-use pgt_i::core::workflow::pgt_dcrnn_factory;
+use pgt_i::core::workflow::{pgt_dcrnn, pgt_dcrnn_factory};
 use pgt_i::data::datasets::{DatasetKind, DatasetSpec};
 use pgt_i::data::signal::StaticGraphTemporalSignal;
 use pgt_i::data::synthetic;
 use pgt_i::dist::shuffle::ShuffleStrategy;
-use pgt_i::graph::diffusion_supports;
-use pgt_i::models::{ModelConfig, PgtDcrnn, Support};
 
 fn setup() -> (DatasetSpec, StaticGraphTemporalSignal) {
     let spec = DatasetSpec::get(DatasetKind::ChickenpoxHungary).scaled(0.35);
@@ -43,20 +41,7 @@ fn all_three_distributed_modes_learn_the_same_task() {
     let index = run_distributed_index(&sig, &cfg, &factory);
     let gen = run_generalized(&sig, &cfg, &factory);
     let ddp = run_baseline_ddp(&sig, &cfg, |_| {
-        let supports = Support::wrap_all(diffusion_supports(&sig.adjacency, 2));
-        Box::new(PgtDcrnn::new(
-            ModelConfig {
-                input_dim: 1,
-                output_dim: 1,
-                hidden: 8,
-                num_nodes: sig.num_nodes(),
-                horizon: spec.horizon,
-                diffusion_steps: 2,
-                layers: 1,
-            },
-            &supports,
-            42,
-        ))
+        Box::new(pgt_dcrnn(&sig, 1, spec.horizon, 8, 42))
     });
     for (name, r) in [("index", &index), ("generalized", &gen), ("ddp", &ddp)] {
         let first = r.epochs.first().unwrap().train_loss;
@@ -79,20 +64,7 @@ fn communication_ordering_matches_the_papers_fig7_argument() {
     let factory = pgt_dcrnn_factory(&sig, spec.horizon, 8, 42);
     let index = run_distributed_index(&sig, &cfg, &factory);
     let ddp = run_baseline_ddp(&sig, &cfg, |_| {
-        let supports = Support::wrap_all(diffusion_supports(&sig.adjacency, 2));
-        Box::new(PgtDcrnn::new(
-            ModelConfig {
-                input_dim: 1,
-                output_dim: 1,
-                hidden: 8,
-                num_nodes: sig.num_nodes(),
-                horizon: spec.horizon,
-                diffusion_steps: 2,
-                layers: 1,
-            },
-            &supports,
-            42,
-        ))
+        Box::new(pgt_dcrnn(&sig, 1, spec.horizon, 8, 42))
     });
     assert!(
         ddp.bytes_moved > index.bytes_moved,
@@ -238,18 +210,8 @@ fn prefetch_and_policies_compose_with_training() {
     let (spec, sig) = setup();
     let mut cfg = DistConfig::new(2, 2, spec.horizon);
     cfg.batch_per_worker = 4;
-    let factory = |_: &pgt_i::core::baseline_ddp::DistributedXy| {
-        let supports = Support::wrap_all(diffusion_supports(&sig.adjacency, 2));
-        let mc = ModelConfig {
-            input_dim: 1,
-            output_dim: 1,
-            hidden: 8,
-            num_nodes: sig.num_nodes(),
-            horizon: spec.horizon,
-            diffusion_steps: 2,
-            layers: 1,
-        };
-        Box::new(PgtDcrnn::new(mc, &supports, 42)) as Box<dyn pgt_i::models::Seq2Seq>
+    let factory = |_: &pgt_i::core::baseline_ddp::DataSvcPlane| {
+        Box::new(pgt_dcrnn(&sig, 1, spec.horizon, 8, 42)) as Box<dyn pgt_i::models::Seq2Seq>
     };
     let sync = run_baseline_ddp(&sig, &cfg, factory);
     cfg.prefetch = true;

@@ -18,15 +18,14 @@ use pgt_i::core::dist_index::{run_distributed_index, DistConfig};
 use pgt_i::core::dynamic_index::{train_dynamic, DynamicTrainConfig};
 use pgt_i::core::engine::{self, EngineOptions};
 use pgt_i::core::gen_dist_index::run_generalized;
-use pgt_i::core::partitioned::{run_partitioned, PartitionStrategy, PartitionedConfig};
+use pgt_i::core::partitioned::run_partitioned;
 use pgt_i::core::trainer::SourcePlane;
-use pgt_i::core::workflow::pgt_dcrnn_factory;
+use pgt_i::core::workflow::{pgt_dcrnn, pgt_dcrnn_factory};
 use pgt_i::core::IndexDataset;
 use pgt_i::data::datasets::{DatasetKind, DatasetSpec};
 use pgt_i::data::splits::SplitRatios;
 use pgt_i::data::synthetic;
-use pgt_i::graph::diffusion_supports;
-use pgt_i::models::{ModelConfig, PgtDcrnn, Support};
+use pgt_i::graph::PartitionerKind;
 
 /// The pipelined-engine sweep every golden must survive unchanged: the
 /// legacy flat synchronous reduce, tiny buckets (many per step — maximal
@@ -92,20 +91,7 @@ fn data_svc_plane_reproduces_the_inline_baseline_ddp_loop() {
         cfg.grad_bucket_bytes = cap;
         cfg.prefetch = prefetch;
         let r = run_baseline_ddp(&sig, &cfg, |_| {
-            let supports = Support::wrap_all(diffusion_supports(&sig.adjacency, 2));
-            Box::new(PgtDcrnn::new(
-                ModelConfig {
-                    input_dim: 1,
-                    output_dim: 1,
-                    hidden: 8,
-                    num_nodes: sig.num_nodes(),
-                    horizon: spec.horizon,
-                    diffusion_steps: 2,
-                    layers: 1,
-                },
-                &supports,
-                42,
-            ))
+            Box::new(pgt_dcrnn(&sig, 1, spec.horizon, 8, 42))
         });
         assert_epochs(
             &format!("baseline_ddp[{cap:?}/{prefetch}]"),
@@ -148,11 +134,8 @@ fn halo_entry_plane_reproduces_the_inline_generalized_loop() {
 #[test]
 fn dynamic_plane_reproduces_the_inline_dynamic_loop() {
     let sig = pgt_i::data::dynamic::synthetic_dynamic_traffic(6, 80, 7);
-    let cfg = DynamicTrainConfig {
-        epochs: 3,
-        ..Default::default()
-    };
-    let (_, stats) = train_dynamic(&sig, 4, &cfg);
+    let cfg = DistConfig::new(1, 3, 4);
+    let (_, stats) = train_dynamic(&sig, &cfg, &DynamicTrainConfig::default());
     let golden = [
         (0.50047874f32, 3.724125f32),
         (0.29698554, 3.4272969),
@@ -172,13 +155,12 @@ fn partitioned_plane_reproduces_the_sequential_trainer_loop() {
     // independent ranks. Same shuffles, same seeds ⇒ identical MAE.
     let net = pgt_i::graph::generators::highway_corridor(24, 1, 11);
     let sig = synthetic::traffic::generate(&net, 220, 288, 11);
-    let mut cfg = PartitionedConfig::new(2, 4);
-    cfg.epochs = 2;
-    cfg.batch_size = 4;
-    // Pin the strategy the golden was captured under (the config default
-    // moved to the multilevel partitioner afterwards).
-    cfg.strategy = PartitionStrategy::GreedyBfs;
-    let r = run_partitioned(&sig, &cfg);
+    let mut cfg = DistConfig::new(2, 2, 4);
+    cfg.batch_per_worker = 4;
+    // Pin the partitioner the golden was captured under (the config
+    // default moved to the multilevel partitioner afterwards).
+    cfg.partitioner = PartitionerKind::GreedyBfs;
+    let r = run_partitioned(&sig, &cfg, 2, 8, None);
     assert_eq!(r.combined_val_mae.to_bits(), 2.156524f32.to_bits());
     let vals: Vec<u32> = r.parts.iter().map(|p| p.val_mae.to_bits()).collect();
     assert_eq!(vals, vec![2.8321512f32.to_bits(), 1.4808966f32.to_bits()]);
@@ -207,20 +189,7 @@ fn source_plane_reproduces_the_single_worker_trainer_loop() {
     let spec = DatasetSpec::get(DatasetKind::ChickenpoxHungary).scaled(0.2);
     let sig = synthetic::generate(&spec, 11);
     let ds = IndexDataset::from_signal(&sig, spec.horizon, SplitRatios::default(), None);
-    let supports = Support::wrap_all(diffusion_supports(&sig.adjacency, 2));
-    let model = PgtDcrnn::new(
-        ModelConfig {
-            input_dim: ds.num_features(),
-            output_dim: 1,
-            hidden: 4,
-            num_nodes: ds.num_nodes(),
-            horizon: spec.horizon,
-            diffusion_steps: 2,
-            layers: 1,
-        },
-        &supports,
-        7,
-    );
+    let model = pgt_dcrnn(&sig, ds.num_features(), spec.horizon, 4, 7);
     let mut cfg = DistConfig::new(1, 6, spec.horizon);
     cfg.lr = 0.01;
     cfg.batch_per_worker = 8;

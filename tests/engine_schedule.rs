@@ -15,11 +15,11 @@ use pgt_i::core::dist_index::DistConfig;
 use pgt_i::core::engine::{self, EngineError, EngineOptions};
 use pgt_i::core::index_batching::IndexDataset;
 use pgt_i::core::trainer::SourcePlane;
+use pgt_i::core::workflow::pgt_dcrnn;
 use pgt_i::data::datasets::{DatasetKind, DatasetSpec};
 use pgt_i::data::splits::SplitRatios;
 use pgt_i::data::synthetic;
-use pgt_i::graph::diffusion_supports;
-use pgt_i::models::{ModelConfig, PgtDcrnn, Support};
+use pgt_i::models::PgtDcrnn;
 use std::sync::Arc;
 
 const SEED: u64 = 42;
@@ -35,17 +35,7 @@ fn dataset() -> IndexDataset {
 fn model_for(ds: &IndexDataset) -> PgtDcrnn {
     let spec = DatasetSpec::get(DatasetKind::ChickenpoxHungary).scaled(0.2);
     let sig = synthetic::generate(&spec, 11);
-    let supports = Support::wrap_all(diffusion_supports(&sig.adjacency, 2));
-    let mc = ModelConfig {
-        input_dim: ds.num_features(),
-        output_dim: 1,
-        hidden: 4,
-        num_nodes: ds.num_nodes(),
-        horizon: ds.horizon(),
-        diffusion_steps: 2,
-        layers: 1,
-    };
-    PgtDcrnn::new(mc, &supports, 7)
+    pgt_dcrnn(&sig, ds.num_features(), ds.horizon(), 4, 7)
 }
 
 /// DCRNN-style multi-step decay with milestones scaled into a 6-epoch

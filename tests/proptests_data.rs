@@ -8,11 +8,12 @@
 //!   under `StorageSpec::Chunked` lossless vs `StorageSpec::InMemory`.
 
 use pgt_i::core::baseline_ddp::run_baseline_ddp;
-use pgt_i::core::dist_index::{run_distributed_index, DistConfig, DistRunResult};
+use pgt_i::core::dist_index::{run_distributed_index, DistConfig};
 use pgt_i::core::dynamic_index::{train_dynamic, DynamicTrainConfig};
 use pgt_i::core::gen_dist_index::run_generalized;
-use pgt_i::core::partitioned::{run_partitioned, PartitionedConfig};
-use pgt_i::core::workflow::pgt_dcrnn_factory;
+use pgt_i::core::partitioned::run_partitioned;
+use pgt_i::core::workflow::{pgt_dcrnn, pgt_dcrnn_factory};
+use pgt_i::core::EngineReport;
 use pgt_i::core::IndexDataset;
 use pgt_i::data::datasets::{DatasetKind, DatasetSpec};
 use pgt_i::data::dynamic::synthetic_dynamic_traffic;
@@ -20,8 +21,8 @@ use pgt_i::data::signal::StaticGraphTemporalSignal;
 use pgt_i::data::splits::SplitRatios;
 use pgt_i::data::storage::{ChunkedSpec, RowStore, SignalStorage, StorageSpec};
 use pgt_i::data::synthetic;
-use pgt_i::graph::{diffusion_supports, Adjacency};
-use pgt_i::models::{ModelConfig, PgtDcrnn, Seq2Seq, Support};
+use pgt_i::graph::Adjacency;
+use pgt_i::models::Seq2Seq;
 use pgt_i::tensor::Tensor;
 use proptest::prelude::*;
 
@@ -132,20 +133,7 @@ fn setup() -> (DatasetSpec, StaticGraphTemporalSignal) {
 }
 
 fn ddp_model(sig: &StaticGraphTemporalSignal, horizon: usize) -> Box<dyn Seq2Seq> {
-    let supports = Support::wrap_all(diffusion_supports(&sig.adjacency, 2));
-    Box::new(PgtDcrnn::new(
-        ModelConfig {
-            input_dim: 1,
-            output_dim: 1,
-            hidden: 8,
-            num_nodes: sig.num_nodes(),
-            horizon,
-            diffusion_steps: 2,
-            layers: 1,
-        },
-        &supports,
-        42,
-    ))
+    Box::new(pgt_dcrnn(sig, 1, horizon, 8, 42))
 }
 
 fn tiny_chunked() -> StorageSpec {
@@ -154,7 +142,7 @@ fn tiny_chunked() -> StorageSpec {
     StorageSpec::Chunked(ChunkedSpec::new(8).with_cache_bytes(16 * 1024))
 }
 
-fn assert_runs_bit_identical(a: &DistRunResult, b: &DistRunResult, what: &str) {
+fn assert_runs_bit_identical(a: &EngineReport, b: &EngineReport, what: &str) {
     assert_eq!(a.epochs.len(), b.epochs.len(), "{what}: epoch count");
     for (ea, eb) in a.epochs.iter().zip(&b.epochs) {
         assert_eq!(
@@ -213,11 +201,10 @@ fn halo_entry_plane_is_bitwise_storage_invariant() {
 #[test]
 fn partitioned_plane_is_bitwise_storage_invariant() {
     let (spec, sig) = setup();
-    let mut cfg = PartitionedConfig::new(2, spec.horizon);
-    cfg.epochs = 2;
-    let mem = run_partitioned(&sig, &cfg);
+    let mut cfg = DistConfig::new(2, 2, spec.horizon);
+    let mem = run_partitioned(&sig, &cfg, 2, 8, None);
     cfg.storage = tiny_chunked();
-    let chunked = run_partitioned(&sig, &cfg);
+    let chunked = run_partitioned(&sig, &cfg, 2, 8, None);
     assert_eq!(
         mem.combined_val_mae.to_bits(),
         chunked.combined_val_mae.to_bits(),
@@ -231,13 +218,11 @@ fn partitioned_plane_is_bitwise_storage_invariant() {
 #[test]
 fn dynamic_plane_is_bitwise_storage_invariant() {
     let sig = synthetic_dynamic_traffic(6, 60, 5);
-    let mut cfg = DynamicTrainConfig {
-        epochs: 2,
-        ..Default::default()
-    };
-    let (_, mem) = train_dynamic(&sig, 4, &cfg);
+    let mut cfg = DistConfig::new(1, 2, 4);
+    let dynamic = DynamicTrainConfig::default();
+    let (_, mem) = train_dynamic(&sig, &cfg, &dynamic);
     cfg.storage = tiny_chunked();
-    let (_, chunked) = train_dynamic(&sig, 4, &cfg);
+    let (_, chunked) = train_dynamic(&sig, &cfg, &dynamic);
     assert_eq!(mem.len(), chunked.len());
     for (a, b) in mem.iter().zip(&chunked) {
         assert_eq!(

@@ -5,14 +5,21 @@
 //! and arbitrary request streams against the SLO-gated micro-batch queue
 //! (no admitted request dropped or duplicated, `max_batch`/`max_delay`
 //! respected, every shed request gets a typed rejection and leaves the
-//! rest of the schedule untouched).
+//! rest of the schedule untouched), and arbitrary tick/query streams
+//! through a `SnapshotRegistry` tenant (no panic, every query answered or
+//! rejected exactly once).
 
+use pgt_i::autograd::Module;
 use pgt_i::data::scaler::StandardScaler;
 use pgt_i::device::CostModel;
+use pgt_i::graph::{diffusion_supports, generators};
+use pgt_i::models::{ModelConfig, PgtDcrnn, Support};
 use pgt_i::serve::{
-    admit_and_coalesce, coalesce, BatchCost, IngestError, PendingRequest, QueueConfig,
-    RollingWindow, ServeError, ShedReason, SloConfig, StreamIngest, Tick,
+    admit_and_coalesce, coalesce, BatchCost, BatchedServer, IngestError, ModelSnapshot,
+    PendingRequest, Query, QueueConfig, RollingWindow, ServeConfig, ServeError, ShedReason,
+    SloConfig, SnapshotRegistry, StreamIngest, Tick,
 };
+use pgt_i::tensor::Tensor;
 use proptest::prelude::*;
 
 /// Cheap deterministic stream driver (the shim has no shuffle strategy).
@@ -331,5 +338,117 @@ proptest! {
             prop_assert_eq!(&a.windows, &b.windows);
             prop_assert_eq!(&a.window_of, &b.window_of);
         }
+    }
+}
+
+const NODES: usize = 8;
+/// Rows of history the deployment starts from (the ring is as deep).
+const HISTORY: usize = 12;
+
+/// A tiny two-shard deployment: 8-node corridor, hidden 4, horizon 3,
+/// seeded with `HISTORY` rows.
+fn tiny_deployment() -> BatchedServer {
+    let adjacency = generators::highway_corridor(NODES, 1, 5).adjacency;
+    let cfg = ModelConfig {
+        input_dim: 1,
+        output_dim: 1,
+        hidden: 4,
+        num_nodes: NODES,
+        horizon: 3,
+        diffusion_steps: 2,
+        layers: 1,
+    };
+    let supports = Support::wrap_all(diffusion_supports(&adjacency, cfg.diffusion_steps));
+    let model = PgtDcrnn::new(cfg.clone(), &supports, 7);
+    let snapshot =
+        ModelSnapshot::capture(cfg, StandardScaler::identity(), None, &model.params(), 1);
+    let history = Tensor::arange(HISTORY * NODES)
+        .reshape([HISTORY, NODES, 1])
+        .unwrap();
+    BatchedServer::with_history(snapshot, adjacency, &history, ServeConfig::new(2, HISTORY))
+}
+
+/// A node id in `0..NODES + 2`: the last two are unknown to the
+/// deployment.
+fn any_node(rng: &mut XorShift) -> usize {
+    (rng.next() % (NODES as u64 + 2)) as usize
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// Arbitrary interleavings of live ticks (unknown nodes, wrong widths,
+    /// duplicates, gaps and regressions included) and arrival-sorted query
+    /// batches (unknown nodes, evicted and not-yet-ingested windows
+    /// included) through a registry tenant never panic: a bad tick is a
+    /// typed ingest error, and every query lands exactly once, in the
+    /// report's results or in its rejections.
+    #[test]
+    fn registry_streams_account_every_query_exactly_once(
+        steps in 1usize..40,
+        tight_slo in any::<bool>(),
+        seed in any::<u64>(),
+    ) {
+        let registry = SnapshotRegistry::new();
+        registry.register("city", tiny_deployment()).unwrap();
+        let slo = if tight_slo {
+            SloConfig { deadline_secs: 1e-3, max_queue_depth: 2 }
+        } else {
+            SloConfig::unbounded()
+        };
+        let mut rng = XorShift(seed | 1);
+        let mut next_t = [HISTORY; NODES + 2];
+        let (mut next_id, mut arrival) = (0usize, 0.0f64);
+        for _ in 0..steps {
+            if !rng.next().is_multiple_of(3) {
+                let node = any_node(&mut rng);
+                let t = match rng.next() % 6 {
+                    0 => next_t[node].saturating_sub(1),
+                    1 => next_t[node] + 1,
+                    _ => next_t[node],
+                };
+                let width = if rng.next().is_multiple_of(8) { 2 } else { 1 };
+                let tick = Tick { node, t, values: vec![t as f32; width] };
+                match registry.admit_tick("city", &tick) {
+                    Ok(_) => {
+                        prop_assert!(node < NODES && width == 1, "accepted {:?}", tick);
+                        next_t[node] = t + 1;
+                    }
+                    Err(ServeError::Ingest(_)) => {}
+                    Err(e) => prop_assert!(false, "tick {:?}: {}", tick, e),
+                }
+            } else {
+                let queries: Vec<Query> = (0..1 + rng.next() % 6)
+                    .map(|_| {
+                        next_id += 1;
+                        arrival += (rng.next() % 4) as f64 * 1e-4;
+                        Query {
+                            id: next_id,
+                            node: any_node(&mut rng),
+                            window_end: (rng.next() % 32) as usize,
+                            arrival_secs: arrival,
+                        }
+                    })
+                    .collect();
+                let report = registry.serve_slo("city", &queries, &slo).unwrap();
+                let mut seen: Vec<usize> = report
+                    .results
+                    .iter()
+                    .map(|r| r.id)
+                    .chain(report.rejections.iter().map(|r| r.id))
+                    .collect();
+                seen.sort_unstable();
+                let want: Vec<usize> = queries.iter().map(|q| q.id).collect();
+                prop_assert_eq!(seen, want);
+                for r in &report.rejections {
+                    if r.node >= NODES {
+                        let unknown = matches!(r.reason, ShedReason::UnknownNode { .. });
+                        prop_assert!(unknown, "query {}: {:?}", r.id, r.reason);
+                    }
+                }
+            }
+        }
+        let ghost = registry.serve("ghost", &[]);
+        prop_assert!(matches!(ghost, Err(ServeError::UnknownTenant(_))));
     }
 }
